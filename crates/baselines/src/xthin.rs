@@ -11,8 +11,9 @@
 //! comparable; [`BaselineReport::total_xthin_star`] implements that view.
 
 use crate::BaselineReport;
+use graphene::recovery::shortid_filter;
 use graphene_blockchain::{Block, Mempool, TxId};
-use graphene_bloom::{BloomFilter, Membership};
+use graphene_bloom::Membership;
 use graphene_hashes::short_id_8;
 use graphene_wire::messages::{
     BlockTxnMsg, GetBlockTxnMsg, InvMsg, Message, XthinBlockMsg, XthinGetDataMsg,
@@ -41,13 +42,7 @@ pub fn xthin_relay(block: &Block, mempool: &Mempool, acct: &XthinAccounting) -> 
 
     // Receiver: getdata carrying the mempool filter. XThin's bandwidth
     // grows with the mempool (the paper's key criticism).
-    let mut filter = BloomFilter::new(
-        mempool.len().max(1),
-        acct.mempool_filter_fpr,
-        block.id().low_u64() ^ 0x7874,
-    );
-    let pool_ids: Vec<TxId> = mempool.iter().map(|tx| *tx.id()).collect();
-    filter.insert_batch(&pool_ids);
+    let filter = shortid_filter(&block.id(), mempool, acct.mempool_filter_fpr);
     let getdata = XthinGetDataMsg { block_id: block.id(), mempool_filter: filter };
     report.receiver_filter_bytes = getdata.mempool_filter.serialized_size();
     report.total += Message::XthinGetData(getdata.clone()).wire_size();

@@ -207,7 +207,7 @@ fn bench_iblt_peel_partitioned(it: &Iters) -> BenchResult {
     let mut scratch = PeelScratch::new();
     let ns = time_fn(warmup, iters, || {
         sender.subtract_into(&local, &mut diff).unwrap();
-        black_box(diff.peel_partitioned(&mut scratch).unwrap().len());
+        black_box(diff.peel_in_place(&mut scratch).unwrap().len());
     });
     let ref_ns = time_fn(warmup, iters, || {
         sender.subtract_into(&local, &mut diff).unwrap();

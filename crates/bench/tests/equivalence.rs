@@ -168,14 +168,14 @@ proptest! {
             ref_peel_cells_with_remainder(diff.cells().to_vec(), diff.hash_count(), diff.salt());
         let mut scratch = PeelScratch::new();
         let mut peeled = diff.clone();
-        let optimized = peeled.peel_partitioned(&mut scratch);
+        let optimized = peeled.peel_in_place(&mut scratch);
         prop_assert_eq!(&reference, &optimized);
         prop_assert_eq!(remainder.as_slice(), peeled.cells());
 
         // Reusing the same scratch (stale generation stamps, leftover
         // queue capacity) must not perturb a second, different peel.
         let mut again = diff.clone();
-        let reused = again.peel_partitioned(&mut scratch);
+        let reused = again.peel_in_place(&mut scratch);
         prop_assert_eq!(&reference, &reused);
         prop_assert_eq!(again.cells(), peeled.cells());
     }
@@ -196,7 +196,7 @@ fn iblt_duplicate_insert_matches_reference() {
         let diff = a.subtract(&b).unwrap();
         let (reference, remainder) = ref_peel_cells_with_remainder(diff.cells().to_vec(), k, 0xd0b);
         let mut peeled = diff.clone();
-        let optimized = peeled.peel_partitioned(&mut PeelScratch::new());
+        let optimized = peeled.peel_in_place(&mut PeelScratch::new());
         assert_eq!(reference, optimized);
         assert_eq!(remainder.as_slice(), peeled.cells());
     }
@@ -235,7 +235,7 @@ fn empty_and_single_batches() {
     assert!(single.contains_batch(&one).get(0));
 
     let mut empty_iblt = Iblt::new(12, 3, 1);
-    let r = empty_iblt.peel_partitioned(&mut PeelScratch::new()).unwrap();
+    let r = empty_iblt.peel_in_place(&mut PeelScratch::new()).unwrap();
     assert!(r.complete && r.is_empty());
     assert_eq!(ref_peel_cells(vec![Default::default(); 12], 3, 1).unwrap(), r);
 }

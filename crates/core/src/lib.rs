@@ -50,7 +50,4 @@ pub use encode_cache::{CacheKey, CacheStats, CacheVariant, EncodeCache, MBucket}
 pub use error::GrapheneError;
 pub use params::{a_star, optimal_a, optimal_b, x_star, y_star, ProtocolParams};
 pub use recovery::{relay_with_recovery, LadderReport, RecoveryPolicy, RungKind, RungReport};
-pub use session::{
-    relay_block, relay_block_attempt, relay_block_attempt_cached, relay_block_cached, NodeSnapshot,
-    RelayOutcome, RelayReport,
-};
+pub use session::{relay_block, relay_block_cached, NodeSnapshot, RelayOutcome, RelayReport};

@@ -14,13 +14,11 @@
 use crate::config::GrapheneConfig;
 use crate::protocol1::{self};
 use crate::protocol2::{self};
-use crate::session::ByteBreakdown;
+use crate::session::{body_bytes, ByteBreakdown, FetchRound};
 use graphene_blockchain::{Block, Mempool, OrderingScheme, TxId};
 use graphene_bloom::Membership;
-use graphene_hashes::{short_id_8, Digest};
+use graphene_hashes::Digest;
 use graphene_wire::messages::{BlockTxnMsg, GetDataMsg, Message};
-use graphene_wire::varint::varint_len;
-use std::collections::HashMap;
 
 /// Result of a synchronization round.
 #[derive(Debug, Clone)]
@@ -89,8 +87,7 @@ pub fn sync_mempools(
             bytes.p2_request_overhead = req_wire - bytes.bloom_r;
 
             let rec = protocol2::sender_respond(&block, &req, m, cfg);
-            bytes.missing_txns =
-                rec.missing.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
+            bytes.missing_txns = body_bytes(&rec.missing);
             bytes.iblt_j = rec.iblt_j.serialized_size();
             bytes.bloom_f = rec.bloom_f.as_ref().map_or(0, |f| f.serialized_size());
             bytes.p2_response_overhead = Message::GrapheneRecovery(rec.clone()).wire_size()
@@ -119,29 +116,11 @@ pub fn sync_mempools(
                     } else {
                         // Extra round: fetch stragglers by short ID.
                         rounds += 2;
-                        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-                            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-                        let mut fetched = Vec::new();
-                        for s in &ok.needs_fetch {
-                            if let Some(tx) = lookup.get(s) {
-                                fetched.push((*tx).clone());
-                            }
-                        }
-                        let all_found = fetched.len() == ok.needs_fetch.len();
-                        let body_bytes: usize =
-                            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-                        bytes.extra_fetch = 5
-                            + 32
-                            + varint_len(ok.needs_fetch.len() as u64)
-                            + 8 * ok.needs_fetch.len()
-                            + Message::BlockTxn(BlockTxnMsg {
-                                block_id: block.id(),
-                                txns: fetched.clone(),
-                            })
-                            .wire_size()
-                            - body_bytes;
-                        bytes.missing_txns += body_bytes;
-                        for tx in fetched {
+                        let fetch = FetchRound::run(&block, &ok.needs_fetch);
+                        let all_found = fetch.txns.len() == ok.needs_fetch.len();
+                        bytes.extra_fetch = fetch.wire - fetch.bodies;
+                        bytes.missing_txns += fetch.bodies;
+                        for tx in fetch.txns {
                             set.push(*tx.id());
                             receiver_pool.insert(tx);
                         }

@@ -8,21 +8,27 @@
 //! getblocktxn → full block` — and this module gives Graphene the same
 //! shape:
 //!
-//! 1. **Graphene** — the ordinary attempt ([`crate::relay_block_attempt`]).
+//! 1. **Graphene** — the ordinary attempt.
 //! 2. **GrapheneRetry** — re-request with inflated parameters: fresh salts,
 //!    β decayed toward 1 (shrinking the failure budget per Theorem 3's
 //!    assurance model), and an IBLT sized `1.5×` per attempt
 //!    ([`RetryTweak`]).
-//! 3. **Rateless** (optional, via [`RatelessMode`]) — stream coded cells
-//!    from a rateless IBLT (arXiv 2402.02668) against the candidate set
-//!    the failed attempt already built, growing the stream until it
-//!    decodes. A bad difference estimate costs a few more cells instead of
-//!    a whole fresh sketch — this rung replaces the retry cliff with
-//!    incremental degradation.
+//! 3. **Rateless** (optional, via [`RecoveryPolicy::rateless`]) — instead
+//!    of the retries, stream coded cells from a rateless IBLT (arXiv
+//!    2402.02668) against the candidate set the failed attempt already
+//!    built, growing the stream until it decodes. A bad difference
+//!    estimate costs a few more cells instead of a whole fresh sketch —
+//!    this rung replaces the retry cliff with incremental degradation.
 //! 4. **ShortIdFetch** — an xthin-style exchange (BUIP010): the receiver
 //!    ships a Bloom filter of its mempool, the sender answers with the
 //!    block's 8-byte short IDs plus whatever missed the filter.
 //! 5. **FullBlock** — the uncompressed block; cannot fail.
+//!
+//! The order and budgets live in one sans-IO policy, [`Ladder`], with two
+//! drivers: [`relay_with_recovery`] runs it in-process, and the netsim
+//! peer runs it on timeouts and failed decodes. The per-rung pieces both
+//! drivers share — the short-ID request filter, the rateless stream and
+//! its first window, the decoded difference's resolution — live here too.
 //!
 //! Every rung records its bytes and rounds in a [`RungReport`]; the merged
 //! [`ByteBreakdown`] keeps figures honest about what degradation costs.
@@ -30,23 +36,25 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::config::GrapheneConfig;
-use crate::protocol1::{self, RetryTweak};
+use crate::protocol1::{self, CandidateSet, RetryTweak};
 use crate::protocol2;
-use crate::session::{relay_block_attempt, ByteBreakdown};
+use crate::session::{
+    body_bytes, full_block_round, relay_block_attempt, ByteBreakdown, FetchRound,
+};
 use graphene_blockchain::{Block, Mempool, PeerView, TxId};
 use graphene_bloom::{BloomFilter, Membership};
 use graphene_hashes::{merkle_root, short_id_8, Digest};
-use graphene_iblt::rateless::{CellStream, DecodeProgress, RatelessDecoder, MAX_CELLS_PER_BATCH};
-use graphene_wire::messages::{
-    BlockTxnMsg, FullBlockMsg, GetFullBlockMsg, GetGrapheneTxnMsg, GetMoreCellsMsg, Message,
-    RatelessCellsMsg, XthinBlockMsg, XthinGetDataMsg,
+use graphene_iblt::rateless::{
+    CellStream, DecodeProgress, RatelessDecoder, RatelessDiff, MAX_CELLS_PER_BATCH,
 };
-use graphene_wire::varint::varint_len;
+use graphene_wire::messages::{
+    GetMoreCellsMsg, Message, RatelessCellsMsg, XthinBlockMsg, XthinGetDataMsg,
+};
 use std::collections::HashMap;
 
 /// Salt domain for the short-ID rung's mempool filter, disjoint from the
 /// S/I/R/J/F domains in [`crate::protocol1`].
-const SALT_XF: u64 = 0x5846;
+const SALT_XF: u64 = 0x7874;
 
 /// Salt domain for the rateless rung's cell stream, disjoint from every
 /// other domain.
@@ -59,20 +67,6 @@ pub fn rateless_salt(block_id: &Digest) -> u64 {
     block_id.low_u64() ^ SALT_RL
 }
 
-/// Where the rateless rung sits in the ladder, if anywhere.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RatelessMode {
-    /// No rateless rung (the PR 2 ladder, unchanged).
-    #[default]
-    Off,
-    /// Run the inflated retries first, then the rateless rung before
-    /// falling through to short-ID fetch.
-    AfterRetries,
-    /// Replace the inflated retries entirely: one Graphene attempt, then
-    /// stream cells. This is the "no retry cliff" configuration.
-    ReplaceRetries,
-}
-
 /// Knobs for the recovery ladder.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
@@ -81,10 +75,12 @@ pub struct RecoveryPolicy {
     pub graphene_retries: u32,
     /// False-positive rate of the mempool filter in the short-ID rung.
     pub shortid_fpr: f64,
-    /// Whether (and where) the rateless rung runs.
-    pub rateless: RatelessMode,
-    /// Most coded-cell batches the rateless rung may request before it
-    /// falls through to the short-ID rung.
+    /// Whether a failed attempt that left Protocol 2 candidates streams
+    /// rateless cells *instead of* the inflated retries.
+    pub rateless: bool,
+    /// Most coded-cell windows the rateless rung may request (re-requests
+    /// of a lost window included) before it falls through to the short-ID
+    /// rung.
     pub rateless_max_batches: u32,
 }
 
@@ -93,7 +89,7 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             graphene_retries: 2,
             shortid_fpr: 0.001,
-            rateless: RatelessMode::Off,
+            rateless: false,
             rateless_max_batches: 8,
         }
     }
@@ -103,7 +99,7 @@ impl RecoveryPolicy {
     /// The "no retry cliff" ladder: one Graphene attempt, then stream
     /// rateless cells instead of inflated retries.
     pub fn rateless_first() -> Self {
-        RecoveryPolicy { rateless: RatelessMode::ReplaceRetries, ..Default::default() }
+        RecoveryPolicy { rateless: true, ..Default::default() }
     }
 }
 
@@ -132,6 +128,76 @@ impl RungKind {
             RungKind::ShortIdFetch => "shortid_fetch",
             RungKind::FullBlock => "full_block",
         }
+    }
+}
+
+/// Why the current rung stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RungFailure {
+    /// A failed decode or a timeout: the rung may go again while its
+    /// budget lasts.
+    Failed,
+    /// The rung cannot make progress (decode state over its cap or lost,
+    /// a decoded difference that will not finalize): fall through however
+    /// much budget is left.
+    Abandoned,
+}
+
+/// A position on the recovery ladder and the sans-IO policy that moves it.
+///
+/// `retries` is the rung's spent budget: the retry number on
+/// [`RungKind::GrapheneRetry`] (it doubles as the wire `attempt`), the
+/// windows requested so far on [`RungKind::Rateless`], and zero elsewhere.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ladder {
+    /// The rung the session is on.
+    pub rung: RungKind,
+    /// Budget spent on this rung.
+    pub retries: u32,
+}
+
+impl Ladder {
+    /// Every session starts on the ordinary Graphene attempt.
+    pub const START: Ladder = Ladder { rung: RungKind::Graphene, retries: 0 };
+
+    fn on(rung: RungKind, retries: u32) -> Ladder {
+        Ladder { rung, retries }
+    }
+
+    /// Where the session goes after the current rung stopped, or `None`
+    /// once the full block has failed too (the ladder is exhausted).
+    ///
+    /// `has_candidates` says whether the failed attempt left a Protocol 2
+    /// candidate set: the rateless rung streams against it, so without
+    /// one a rateless policy takes the inflated retries instead.
+    pub fn next(
+        self,
+        policy: &RecoveryPolicy,
+        has_candidates: bool,
+        why: RungFailure,
+    ) -> Option<Ladder> {
+        let more = |budget: u32| why == RungFailure::Failed && self.retries < budget;
+        Some(match self.rung {
+            RungKind::Graphene
+                if policy.rateless && has_candidates && policy.rateless_max_batches > 0 =>
+            {
+                Ladder::on(RungKind::Rateless, 1)
+            }
+            RungKind::Graphene if policy.graphene_retries > 0 => {
+                Ladder::on(RungKind::GrapheneRetry, 1)
+            }
+            RungKind::GrapheneRetry if more(policy.graphene_retries) => {
+                Ladder::on(RungKind::GrapheneRetry, self.retries + 1)
+            }
+            RungKind::Rateless if more(policy.rateless_max_batches) => {
+                Ladder::on(RungKind::Rateless, self.retries + 1)
+            }
+            RungKind::Graphene | RungKind::GrapheneRetry | RungKind::Rateless => {
+                Ladder::on(RungKind::ShortIdFetch, 0)
+            }
+            RungKind::ShortIdFetch => Ladder::on(RungKind::FullBlock, 0),
+            RungKind::FullBlock => return None,
+        })
     }
 }
 
@@ -177,6 +243,10 @@ impl LadderReport {
 
 /// Relay `block` with the full recovery ladder: never gives up, always
 /// reports what the descent cost.
+///
+/// In-process every failed attempt has built its candidate set, and the
+/// rateless rung spends its whole window budget before it returns, so a
+/// failed rateless rung is [`RungFailure::Abandoned`].
 pub fn relay_with_recovery(
     block: &Block,
     peer: Option<&PeerView>,
@@ -187,79 +257,92 @@ pub fn relay_with_recovery(
     let mut rungs = Vec::new();
     let mut bytes = ByteBreakdown::default();
     let mut rounds = 0u32;
-
-    // Rungs 1–2: Graphene, then inflated re-requests with fresh salts
-    // (skipped when the rateless rung replaces them).
-    let retries = match policy.rateless {
-        RatelessMode::ReplaceRetries => 0,
-        _ => policy.graphene_retries,
-    };
-    for attempt in 0..=retries {
-        let tweak = RetryTweak::for_attempt(cfg, attempt);
-        let r = relay_block_attempt(block, peer, receiver_mempool, cfg, &tweak);
-        bytes.absorb(&r.bytes);
-        rounds += r.rounds;
-        let kind = if attempt == 0 { RungKind::Graphene } else { RungKind::GrapheneRetry };
-        let success = r.outcome.is_success();
-        rungs.push(RungReport { kind, attempt, bytes: r.bytes.total(), rounds: r.rounds, success });
-        if success {
-            if let Some(ordered_ids) = r.ordered_ids {
-                return LadderReport { delivered: kind, rungs, bytes, rounds, ordered_ids };
+    let mut at = Ladder::START;
+    while at.rung != RungKind::FullBlock {
+        let kind = at.rung;
+        let mut report = RungReport { kind, attempt: 0, bytes: 0, rounds: 0, success: false };
+        let ordered_ids = match kind {
+            RungKind::Graphene | RungKind::GrapheneRetry => {
+                let tweak = RetryTweak::for_attempt(cfg, at.retries);
+                let r = relay_block_attempt(block, peer, receiver_mempool, cfg, &tweak);
+                bytes.absorb(&r.bytes);
+                report.attempt = at.retries;
+                report.bytes = r.bytes.total();
+                report.rounds = r.rounds;
+                report.success = r.outcome.is_success();
+                r.ordered_ids.filter(|_| report.success)
             }
-        }
-    }
-
-    // Rateless rung: stream coded cells against the candidates the failed
-    // attempt already built, growing the stream until it decodes.
-    if policy.rateless != RatelessMode::Off {
-        match rateless_rung(block, peer, receiver_mempool, cfg, policy, &mut bytes, &mut rounds) {
-            Ok((report, ordered_ids)) => {
-                rungs.push(report);
-                return LadderReport {
-                    delivered: RungKind::Rateless,
-                    rungs,
-                    bytes,
-                    rounds,
-                    ordered_ids,
-                };
+            RungKind::Rateless => {
+                rateless_rung(block, peer, receiver_mempool, cfg, policy, &mut bytes, &mut report)
             }
-            Err(report) => rungs.push(report),
+            // ShortIdFetch: the loop stops before the full block.
+            _ => shortid_rung(block, receiver_mempool, policy, &mut bytes, &mut report),
+        };
+        rounds += report.rounds;
+        rungs.push(report);
+        if let Some(ordered_ids) = ordered_ids {
+            return LadderReport { delivered: kind, rungs, bytes, rounds, ordered_ids };
+        }
+        let why = match kind {
+            RungKind::Rateless => RungFailure::Abandoned,
+            _ => RungFailure::Failed,
+        };
+        match at.next(policy, true, why) {
+            Some(next) => at = next,
+            None => break,
         }
     }
 
-    // Rung 3: xthin-style short-ID fetch.
-    match shortid_rung(block, receiver_mempool, cfg, policy, &mut bytes, &mut rounds) {
-        Ok((report, ordered_ids)) => {
-            rungs.push(report);
-            return LadderReport {
-                delivered: RungKind::ShortIdFetch,
-                rungs,
-                bytes,
-                rounds,
-                ordered_ids,
-            };
-        }
-        Err(report) => rungs.push(report),
-    }
-
-    // Rung 4: the full block. Cannot fail.
-    let get = Message::GetFullBlock(GetFullBlockMsg { block_id: block.id() }).wire_size();
-    let full =
-        Message::FullBlock(FullBlockMsg { header: *block.header(), txns: block.txns().to_vec() })
-            .wire_size();
-    let bodies: usize =
-        block.txns().iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-    bytes.fallback += get + full - bodies;
+    // The full block. Cannot fail.
+    let (wire, bodies) = full_block_round(block);
+    bytes.fallback += wire - bodies;
     bytes.missing_txns += bodies;
     rounds += 1;
     rungs.push(RungReport {
         kind: RungKind::FullBlock,
         attempt: 0,
-        bytes: get + full,
+        bytes: wire,
         rounds: 1,
         success: true,
     });
     LadderReport { delivered: RungKind::FullBlock, rungs, bytes, rounds, ordered_ids: block.ids() }
+}
+
+/// The sender's rateless coded-cell stream over `block`'s short IDs.
+pub fn rateless_stream(block: &Block) -> CellStream {
+    CellStream::new(rateless_salt(&block.id()), block.txns().iter().map(|tx| short_id_8(tx.id())))
+}
+
+/// Open the rateless rung against the candidate set a failed attempt
+/// built: the receiver's decoder and the size of its first window.
+///
+/// The partial peel and the candidate-count gap both lower-bound the
+/// difference — and both undercount it, because Bloom false positives
+/// inflate `z` toward `n` while also joining the difference themselves.
+/// 3× covers that undercount plus the codec's ~1.35d overhead, so most
+/// degraded relays decode in one window.
+pub fn rateless_open(
+    block_id: &Digest,
+    state: &CandidateSet,
+    block_tx_count: usize,
+) -> (RatelessDecoder, usize) {
+    let decoder = RatelessDecoder::new(rateless_salt(block_id), state.by_short.keys().copied());
+    let d_est = (state.partial_left.len() + state.partial_right.len())
+        .max(state.z.abs_diff(block_tx_count))
+        .max(4);
+    (decoder, (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH))
+}
+
+/// Resolve a decoded difference against the candidates: drop the `S`
+/// false positives (`only_local`). The `only_remote` short IDs are block
+/// transactions the receiver lacks; the caller fetches them by short ID
+/// (Protocol 2's extra round) before [`protocol2::finalize_p2`].
+pub fn rateless_resolve(by_short: &HashMap<u64, TxId>, diff: &RatelessDiff) -> HashMap<u64, TxId> {
+    let mut resolved = by_short.clone();
+    for s in &diff.only_local {
+        resolved.remove(s);
+    }
+    resolved
 }
 
 /// The rateless rung: the receiver keeps the [`CandidateSet`] its failed
@@ -268,17 +351,13 @@ pub fn relay_with_recovery(
 /// everything — the remaining job is reconciling the block's short-ID set
 /// against the candidates, whose symmetric difference is small however
 /// badly the original IBLT was sized. The sender streams coded cells from
-/// a [`CellStream`] over the block's short IDs; the receiver's
-/// [`RatelessDecoder`] peels incrementally and asks for more until it
-/// decodes. Recovered `only_remote` IDs are genuinely missing bodies
-/// (fetched by short ID, as in Protocol 2's extra round); `only_local`
-/// IDs are `S` false positives and are dropped from the candidates.
+/// [`rateless_stream`]; the receiver's [`RatelessDecoder`] peels
+/// incrementally and asks for more, within the [`Ladder`]'s window budget,
+/// until it decodes.
 ///
 /// The candidate state is regenerated here rather than threaded out of
 /// [`relay_block_attempt`] — the encode is deterministic, so this is
 /// byte-for-byte the state the receiver holds, at zero wire cost.
-///
-/// [`CandidateSet`]: crate::protocol1::CandidateSet
 fn rateless_rung(
     block: &Block,
     peer: Option<&PeerView>,
@@ -286,53 +365,23 @@ fn rateless_rung(
     cfg: &GrapheneConfig,
     policy: &RecoveryPolicy,
     bytes: &mut ByteBreakdown,
-    rounds: &mut u32,
-) -> Result<(RungReport, Vec<TxId>), RungReport> {
-    let fail = |bytes: usize, rounds: u32| RungReport {
-        kind: RungKind::Rateless,
-        attempt: 0,
-        bytes,
-        rounds,
-        success: false,
-    };
-
+    report: &mut RungReport,
+) -> Option<Vec<TxId>> {
     let (msg, _) = protocol1::sender_encode(block, mempool.len() as u64, peer, cfg);
     let state = match protocol1::receiver_decode(&msg, mempool, cfg) {
         // Unreachable when the ladder descended honestly (the identical
         // attempt just failed), but harmless: deliver at zero extra cost.
         Ok(ok) => {
-            return Ok((
-                RungReport {
-                    kind: RungKind::Rateless,
-                    attempt: 0,
-                    bytes: 0,
-                    rounds: 0,
-                    success: true,
-                },
-                ok.ordered_ids,
-            ))
+            report.success = true;
+            return Some(ok.ordered_ids);
         }
         Err((_, state)) => state,
     };
 
-    let salt = rateless_salt(&block.id());
-    let mut stream = CellStream::new(salt, block.txns().iter().map(|tx| short_id_8(tx.id())));
-    let mut decoder = RatelessDecoder::new(salt, state.by_short.keys().copied());
-
-    // First-batch sizing: the partial peel and the candidate-count gap both
-    // lower-bound the difference — and both undercount it, because Bloom
-    // false positives inflate `z` toward `n` while also joining the
-    // difference themselves. 3× covers that undercount plus the codec's
-    // ~1.35d overhead, so most degraded relays decode in one batch.
-    let d_est = (state.partial_left.len() + state.partial_right.len())
-        .max(state.z.abs_diff(block.len()))
-        .max(4);
-    let mut batch = (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH);
-
-    let mut rung_bytes = 0usize;
-    let mut rung_rounds = 0u32;
-    let mut decoded = None;
-    for _ in 0..policy.rateless_max_batches {
+    let mut stream = rateless_stream(block);
+    let (mut decoder, mut batch) = rateless_open(&block.id(), &state, block.len());
+    let mut ladder = Ladder::on(RungKind::Rateless, 1);
+    let decoded = loop {
         let start = stream.emitted();
         let cells = stream.cells(batch);
         let req = Message::GetMoreCells(GetMoreCellsMsg {
@@ -342,78 +391,58 @@ fn rateless_rung(
         });
         let resp = Message::RatelessCells(RatelessCellsMsg {
             block_id: block.id(),
-            salt,
+            salt: stream.salt(),
             start_index: start,
             cells: cells.clone(),
         });
-        rung_bytes += req.wire_size() + resp.wire_size();
-        rung_rounds += 1;
+        let window = req.wire_size() + resp.wire_size();
+        report.bytes += window;
+        report.rounds += 1;
+        bytes.rateless += window;
         match decoder.push_cells(start, &cells) {
-            Ok(DecodeProgress::Decoded(diff)) => {
-                decoded = Some(diff);
-                break;
-            }
+            Ok(DecodeProgress::Decoded(diff)) => break Some(diff),
             Ok(DecodeProgress::NeedMore(n)) => batch = n,
             // An honest stream cannot be malformed; bail to the next rung.
-            Err(_) => break,
+            Err(_) => break None,
         }
-    }
-    bytes.rateless += rung_bytes;
-    *rounds += rung_rounds;
-    let Some(diff) = decoded else {
-        return Err(fail(rung_bytes, rung_rounds));
+        match ladder.next(policy, true, RungFailure::Failed) {
+            Some(next) if next.rung == RungKind::Rateless => ladder = next,
+            _ => break None,
+        }
     };
+    let diff = decoded?;
 
-    // Resolve the decoded difference: drop `S` false positives, fetch the
-    // genuinely missing bodies by short ID (Protocol 2's extra round).
-    let mut resolved: HashMap<u64, TxId> = state.by_short.clone();
-    for s in &diff.only_local {
-        resolved.remove(s);
-    }
+    let mut resolved = rateless_resolve(&state.by_short, &diff);
     if !diff.only_remote.is_empty() {
-        let req = Message::GetGrapheneTxn(GetGrapheneTxnMsg {
-            block_id: block.id(),
-            short_ids: diff.only_remote.clone(),
-        });
-        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let fetched: Vec<_> =
-            diff.only_remote.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
-        let resp = Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: fetched.clone() });
-        let fetched_bodies: usize =
-            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-        let fetch_bytes = req.wire_size() + resp.wire_size();
-        rung_bytes += fetch_bytes;
-        rung_rounds += 1;
-        bytes.rateless += fetch_bytes - fetched_bodies;
-        bytes.missing_txns += fetched_bodies;
-        *rounds += 1;
-        if fetched.len() != diff.only_remote.len() {
+        let fetch = FetchRound::run(block, &diff.only_remote);
+        report.bytes += fetch.wire;
+        report.rounds += 1;
+        bytes.rateless += fetch.wire - fetch.bodies;
+        bytes.missing_txns += fetch.bodies;
+        if fetch.txns.len() != diff.only_remote.len() {
             // A recovered short ID the sender does not recognize: a decode
             // artifact (XOR collision); fall through to the next rung.
-            return Err(fail(rung_bytes, rung_rounds));
+            return None;
         }
-        for tx in &fetched {
+        for tx in &fetch.txns {
             resolved.insert(short_id_8(tx.id()), *tx.id());
         }
     }
 
-    match protocol2::finalize_p2(&resolved, block.header().merkle_root, &msg.order_bytes, cfg) {
-        Ok(ok) => match ok.ordered_ids {
-            Some(ids) => Ok((
-                RungReport {
-                    kind: RungKind::Rateless,
-                    attempt: 0,
-                    bytes: rung_bytes,
-                    rounds: rung_rounds,
-                    success: true,
-                },
-                ids,
-            )),
-            None => Err(fail(rung_bytes, rung_rounds)),
-        },
-        Err(_) => Err(fail(rung_bytes, rung_rounds)),
-    }
+    let ids = protocol2::finalize_p2(&resolved, block.header().merkle_root, &msg.order_bytes, cfg)
+        .ok()?
+        .ordered_ids?;
+    report.success = true;
+    Some(ids)
+}
+
+/// The short-ID request's mempool filter: every transaction the receiver
+/// holds, salted by the block so filters for different blocks differ.
+pub fn shortid_filter(block_id: &Digest, mempool: &Mempool, fpr: f64) -> BloomFilter {
+    let mut filter = BloomFilter::new(mempool.len().max(1), fpr, block_id.low_u64() ^ SALT_XF);
+    let pool_ids: Vec<TxId> = mempool.iter().map(|tx| *tx.id()).collect();
+    filter.insert_batch(&pool_ids);
+    filter
 }
 
 /// The xthin-style rung: receiver sends a Bloom filter of its mempool, the
@@ -425,44 +454,30 @@ fn rateless_rung(
 fn shortid_rung(
     block: &Block,
     mempool: &Mempool,
-    cfg: &GrapheneConfig,
     policy: &RecoveryPolicy,
     bytes: &mut ByteBreakdown,
-    rounds: &mut u32,
-) -> Result<(RungReport, Vec<TxId>), RungReport> {
-    let mut rung_bytes = 0usize;
-    let mut rung_rounds = 1u32;
+    report: &mut RungReport,
+) -> Option<Vec<TxId>> {
+    report.rounds = 1;
 
     // Receiver → sender: Bloom filter over the whole mempool.
-    let salt = block.id().low_u64() ^ SALT_XF;
-    let mut filter = BloomFilter::with_strategy(
-        mempool.len().max(1),
-        policy.shortid_fpr,
-        salt,
-        cfg.bloom_strategy,
-    );
-    for tx in mempool.iter() {
-        filter.insert(tx.id());
-    }
-    let req = Message::XthinGetData(XthinGetDataMsg {
-        block_id: block.id(),
-        mempool_filter: filter.clone(),
-    });
-    rung_bytes += req.wire_size();
-
-    // Sender → receiver: short IDs in block order + filter misses in full.
+    let filter = shortid_filter(&block.id(), mempool, policy.shortid_fpr);
     let missing: Vec<_> =
         block.txns().iter().filter(|tx| !filter.contains(tx.id())).cloned().collect();
+    let req =
+        Message::XthinGetData(XthinGetDataMsg { block_id: block.id(), mempool_filter: filter });
+    report.bytes += req.wire_size();
+
+    // Sender → receiver: short IDs in block order + filter misses in full.
     let short_ids: Vec<u64> = block.txns().iter().map(|tx| short_id_8(tx.id())).collect();
     let resp = Message::XthinBlock(XthinBlockMsg {
         header: *block.header(),
         short_ids: short_ids.clone(),
         missing: missing.clone(),
     });
-    let missing_bodies: usize =
-        missing.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-    rung_bytes += resp.wire_size();
-    bytes.fallback += rung_bytes - missing_bodies;
+    let missing_bodies = body_bytes(&missing);
+    report.bytes += resp.wire_size();
+    bytes.fallback += report.bytes - missing_bodies;
     bytes.missing_txns += missing_bodies;
 
     // Receiver: resolve short IDs mempool-first; delivered bodies are
@@ -491,25 +506,14 @@ fn shortid_rung(
     }
 
     if !repair.is_empty() {
-        rung_rounds += 1;
-        let req = Message::GetGrapheneTxn(GetGrapheneTxnMsg {
-            block_id: block.id(),
-            short_ids: repair.clone(),
-        });
-        let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let fetched: Vec<_> =
-            repair.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
-        let resp = Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: fetched.clone() });
-        let fetched_bodies: usize =
-            fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-        let repair_bytes = req.wire_size() + resp.wire_size();
-        rung_bytes += repair_bytes;
-        bytes.fallback += repair_bytes - fetched_bodies;
-        bytes.missing_txns += fetched_bodies;
+        report.rounds += 1;
+        let fetch = FetchRound::run(block, &repair);
+        report.bytes += fetch.wire;
+        bytes.fallback += fetch.wire - fetch.bodies;
+        bytes.missing_txns += fetch.bodies;
 
         let fetched_by_short: HashMap<u64, TxId> =
-            fetched.iter().map(|tx| (short_id_8(tx.id()), *tx.id())).collect();
+            fetch.txns.iter().map(|tx| (short_id_8(tx.id()), *tx.id())).collect();
         for (slot, s) in ordered.iter_mut().zip(&short_ids) {
             if slot.is_none() {
                 *slot = fetched_by_short.get(s).copied();
@@ -517,20 +521,10 @@ fn shortid_rung(
         }
     }
 
-    *rounds += rung_rounds;
     let ids: Option<Vec<TxId>> = ordered.into_iter().collect();
     let validated = ids.filter(|ids| merkle_root(ids) == block.header().merkle_root);
-    let report = RungReport {
-        kind: RungKind::ShortIdFetch,
-        attempt: 0,
-        bytes: rung_bytes,
-        rounds: rung_rounds,
-        success: validated.is_some(),
-    };
-    match validated {
-        Some(ids) => Ok((report, ids)),
-        None => Err(report),
-    }
+    report.success = validated.is_some();
+    validated
 }
 
 #[cfg(test)]
@@ -551,6 +545,63 @@ mod tests {
             ..Default::default()
         };
         Scenario::generate(&params, &mut StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn ladder_walks_every_transition() {
+        use RungFailure::{Abandoned, Failed};
+        let on = Ladder::on;
+        let retry = RecoveryPolicy::default();
+        let rateless = RecoveryPolicy::rateless_first();
+        let (tries, windows) = (retry.graphene_retries, retry.rateless_max_batches);
+
+        // The retry ladder: Graphene, the inflated retries, short IDs, the
+        // full block, then exhausted.
+        let mut at = Ladder::START;
+        let mut walk = vec![at];
+        while let Some(next) = at.next(&retry, true, Failed) {
+            at = next;
+            walk.push(at);
+        }
+        let mut want = vec![Ladder::START];
+        want.extend((1..=tries).map(|r| on(RungKind::GrapheneRetry, r)));
+        want.extend([on(RungKind::ShortIdFetch, 0), on(RungKind::FullBlock, 0)]);
+        assert_eq!(walk, want);
+        // No retry budget: straight to short IDs.
+        let none = RecoveryPolicy { graphene_retries: 0, ..retry };
+        assert_eq!(Ladder::START.next(&none, true, Failed), Some(on(RungKind::ShortIdFetch, 0)));
+
+        // The rateless ladder with candidates: one window per step, the
+        // budget counted in windows, then short IDs.
+        let mut at = Ladder::START.next(&rateless, true, Failed);
+        for w in 1..=windows {
+            assert_eq!(at, Some(on(RungKind::Rateless, w)));
+            at = at.and_then(|l| l.next(&rateless, true, Failed));
+        }
+        assert_eq!(at, Some(on(RungKind::ShortIdFetch, 0)));
+        // Without candidates there is nothing to stream against: the
+        // rateless policy takes the inflated retries instead.
+        assert_eq!(
+            Ladder::START.next(&rateless, false, Failed),
+            Some(on(RungKind::GrapheneRetry, 1))
+        );
+        // The retry policy ignores candidates.
+        assert_eq!(Ladder::START.next(&retry, true, Failed), Some(on(RungKind::GrapheneRetry, 1)));
+
+        // Abandoning a rung skips whatever budget it has left.
+        for l in [on(RungKind::Rateless, 1), on(RungKind::GrapheneRetry, 1)] {
+            assert_eq!(l.next(&rateless, true, Abandoned), Some(on(RungKind::ShortIdFetch, 0)));
+        }
+        assert_eq!(
+            on(RungKind::ShortIdFetch, 0).next(&rateless, true, Abandoned),
+            Some(on(RungKind::FullBlock, 0))
+        );
+        // The full block is the last rung under either policy.
+        for p in [retry, rateless] {
+            for why in [Failed, Abandoned] {
+                assert_eq!(on(RungKind::FullBlock, 0).next(&p, true, why), None);
+            }
+        }
     }
 
     #[test]
@@ -668,36 +719,6 @@ mod tests {
             }
         }
         assert!(degraded > 0, "flaky config never degraded; test is vacuous");
-    }
-
-    #[test]
-    fn rateless_after_retries_sits_between_retry_and_shortid() {
-        // `AfterRetries` only engages once every Graphene attempt —
-        // including the inflated retry — has failed, so this needs a
-        // harsher config than `flaky()`: an IBLT rate coarse enough that
-        // even the 1.5×-inflated retry occasionally fails to peel.
-        let mut harsh = flaky();
-        harsh.iblt_rate_denom = 2;
-        let policy = RecoveryPolicy {
-            rateless: RatelessMode::AfterRetries,
-            graphene_retries: 1,
-            ..Default::default()
-        };
-        let mut saw_rateless = false;
-        for seed in 0..300u64 {
-            let s = scenario(200, 1.0, 0.5, seed);
-            let r = relay_with_recovery(&s.block, None, &s.receiver_mempool, &harsh, &policy);
-            assert_eq!(r.ordered_ids, s.block.ids(), "seed {seed}");
-            if let Some(pos) = r.rungs.iter().position(|g| g.kind == RungKind::Rateless) {
-                saw_rateless = true;
-                // Every rung before it is a Graphene attempt, all failed.
-                for g in &r.rungs[..pos] {
-                    assert!(g.kind <= RungKind::GrapheneRetry, "{:?}", r.rungs);
-                    assert!(!g.success);
-                }
-            }
-        }
-        assert!(saw_rateless, "rateless rung never engaged");
     }
 
     #[test]

@@ -13,12 +13,13 @@ use crate::encode_cache::EncodeCache;
 use crate::error::P2Failure;
 use crate::protocol1::{self, RetryTweak};
 use crate::protocol2::{self};
-use graphene_blockchain::{Block, Mempool, PeerView, TxId};
+use graphene_blockchain::{Block, Mempool, PeerView, Transaction, TxId};
 use graphene_bloom::Membership;
 use graphene_hashes::short_id_8;
 use graphene_iblt::Iblt;
 use graphene_wire::messages::{
-    BlockTxnMsg, FullBlockMsg, GetDataMsg, GetFullBlockMsg, GrapheneBlockMsg, InvMsg, Message,
+    BlockTxnMsg, FullBlockMsg, GetDataMsg, GetFullBlockMsg, GetGrapheneTxnMsg, GrapheneBlockMsg,
+    InvMsg, Message,
 };
 use graphene_wire::varint::varint_len;
 use std::collections::HashMap;
@@ -70,7 +71,7 @@ pub enum RelayOutcome {
         /// The failure that ended the attempt.
         p2: P2Failure,
         /// Bytes the fallback actually cost (full block + framing). Zero
-        /// only from [`relay_block_attempt`], whose caller owns the ladder.
+        /// only from a single ladder attempt, whose caller owns the ladder.
         fallback_bytes: usize,
     },
 }
@@ -231,14 +232,9 @@ pub fn relay_block_cached(
     cfg: &GrapheneConfig,
     cache: Option<&EncodeCache>,
 ) -> RelayReport {
-    let report = relay_block_attempt_cached(
-        block,
-        peer,
-        receiver_mempool,
-        cfg,
-        &RetryTweak::initial(cfg),
-        cache,
-    );
+    let tweak = RetryTweak::initial(cfg);
+    let report =
+        attempt_inner(block, peer, receiver_mempool, cfg, &tweak, EncodeMode::Bucketed(cache));
     finish_with_fallback(block, report)
 }
 
@@ -247,27 +243,69 @@ pub fn relay_block_cached(
 /// under-reporting every failed relay).
 fn finish_with_fallback(block: &Block, mut report: RelayReport) -> RelayReport {
     if let RelayOutcome::Failed { p2, .. } = report.outcome {
-        let get = Message::GetFullBlock(GetFullBlockMsg { block_id: block.id() }).wire_size();
-        let full = Message::FullBlock(FullBlockMsg {
-            header: *block.header(),
-            txns: block.txns().to_vec(),
-        })
-        .wire_size();
-        let bodies: usize =
-            block.txns().iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-        report.bytes.fallback = get + full - bodies;
+        let (wire, bodies) = full_block_round(block);
+        report.bytes.fallback = wire - bodies;
         report.bytes.missing_txns += bodies;
         report.rounds += 1;
-        report.outcome = RelayOutcome::Failed { p2, fallback_bytes: get + full };
+        report.outcome = RelayOutcome::Failed { p2, fallback_bytes: wire };
     }
     report
+}
+
+/// The full-block round trip: its wire bytes, and the framed bodies
+/// within them.
+pub(crate) fn full_block_round(block: &Block) -> (usize, usize) {
+    let get = Message::GetFullBlock(GetFullBlockMsg { block_id: block.id() }).wire_size();
+    let full =
+        Message::FullBlock(FullBlockMsg { header: *block.header(), txns: block.txns().to_vec() })
+            .wire_size();
+    (get + full, body_bytes(block.txns()))
+}
+
+/// Wire bytes of transaction bodies as messages carry them (each one
+/// length-prefixed).
+pub(crate) fn body_bytes<'a>(txns: impl IntoIterator<Item = &'a Transaction>) -> usize {
+    txns.into_iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum()
+}
+
+/// The sender's answer to a short-ID fetch: `block`'s transactions whose
+/// 8-byte short IDs appear in `short_ids`, in request order. Unknown IDs
+/// are skipped, so a short answer tells the receiver something collided.
+pub fn block_txns_by_short_id(block: &Block, short_ids: &[u64]) -> Vec<Transaction> {
+    let lookup: HashMap<u64, &Transaction> =
+        block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
+    short_ids.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect()
+}
+
+/// One short-ID fetch round trip (`GetGrapheneTxn` → `BlockTxn`), sized
+/// through the real wire encoding.
+pub(crate) struct FetchRound {
+    /// The transactions the sender found, in request order.
+    pub txns: Vec<Transaction>,
+    /// Bytes of the request and the response, bodies included.
+    pub wire: usize,
+    /// Framed bodies within `wire`.
+    pub bodies: usize,
+}
+
+impl FetchRound {
+    /// Fetch `short_ids` from `block`.
+    pub(crate) fn run(block: &Block, short_ids: &[u64]) -> FetchRound {
+        let block_id = block.id();
+        let req =
+            Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id, short_ids: short_ids.to_vec() });
+        let txns = block_txns_by_short_id(block, short_ids);
+        let resp = Message::BlockTxn(BlockTxnMsg { block_id, txns: txns.clone() });
+        let bodies = body_bytes(&txns);
+        FetchRound { txns, wire: req.wire_size() + resp.wire_size(), bodies }
+    }
 }
 
 /// One rung of a relay: a single Graphene attempt with no implicit
 /// full-block fallback. [`relay_block`] wraps this for the classic
 /// one-attempt-then-full-block client; [`crate::recovery`] chains several
 /// attempts with inflated parameters instead.
-pub fn relay_block_attempt(
+pub(crate) fn relay_block_attempt(
     block: &Block,
     peer: Option<&PeerView>,
     receiver_mempool: &Mempool,
@@ -275,21 +313,6 @@ pub fn relay_block_attempt(
     tweak: &RetryTweak,
 ) -> RelayReport {
     attempt_inner(block, peer, receiver_mempool, cfg, tweak, EncodeMode::PerReceiver)
-}
-
-/// [`relay_block_attempt`] through the encode-once relay cache: the
-/// Protocol 1 frame is canonical for the receiver's mempool-size bucket
-/// (with or without a cache), retry rungs and Protocol 2 responses bypass
-/// the cache and are accounted as bypasses.
-pub fn relay_block_attempt_cached(
-    block: &Block,
-    peer: Option<&PeerView>,
-    receiver_mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    tweak: &RetryTweak,
-    cache: Option<&EncodeCache>,
-) -> RelayReport {
-    attempt_inner(block, peer, receiver_mempool, cfg, tweak, EncodeMode::Bucketed(cache))
 }
 
 /// How the attempt encodes Protocol 1's message.
@@ -365,7 +388,7 @@ fn attempt_inner(
         for fp in &state.partial_right {
             resolved.remove(fp);
         }
-        return fetch_extras(block, resolved, state.partial_left.clone(), &p1_msg, bytes, cfg);
+        return fetch_extras(block, resolved, &state.partial_left, &p1_msg, bytes, cfg);
     }
     let _ = p1_failure; // every other failure routes through Protocol 2
 
@@ -382,8 +405,7 @@ fn attempt_inner(
         }
     };
     let rec_wire = Message::GrapheneRecovery(rec.clone()).wire_size();
-    bytes.missing_txns =
-        rec.missing.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
+    bytes.missing_txns = body_bytes(&rec.missing);
     bytes.iblt_j = rec.iblt_j.serialized_size();
     bytes.bloom_f = rec.bloom_f.as_ref().map_or(0, |f| f.serialized_size());
     bytes.p2_response_overhead = rec_wire - bytes.missing_txns - bytes.iblt_j - bytes.bloom_f;
@@ -407,7 +429,7 @@ fn attempt_inner(
                 }
             } else {
                 // One more round: fetch R false positives by short ID.
-                fetch_extras(block, ok.resolved, ok.needs_fetch, &p1_msg, bytes, cfg)
+                fetch_extras(block, ok.resolved, &ok.needs_fetch, &p1_msg, bytes, cfg)
             }
         }
         Err(p2) => RelayReport {
@@ -425,31 +447,17 @@ fn attempt_inner(
 fn fetch_extras(
     block: &Block,
     mut resolved: HashMap<u64, TxId>,
-    needs: Vec<u64>,
+    needs: &[u64],
     p1_msg: &GrapheneBlockMsg,
     mut bytes: ByteBreakdown,
     cfg: &GrapheneConfig,
 ) -> RelayReport {
-    // Request: same shape as BIP152's getblocktxn but keyed by short ID
-    // (32-byte block id + 8 bytes per entry, framed).
-    let req_bytes = 5 + 32 + varint_len(needs.len() as u64) + 8 * needs.len();
-
-    // Sender side: look the short IDs up in the block.
-    let lookup: HashMap<u64, &graphene_blockchain::Transaction> =
-        block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-    let mut fetched = Vec::new();
-    for s in &needs {
-        if let Some(tx) = lookup.get(s) {
-            fetched.push((*tx).clone());
-        }
-    }
-    let resp = Message::BlockTxn(BlockTxnMsg { block_id: block.id(), txns: fetched.clone() });
+    let fetch = FetchRound::run(block, needs);
     // Split bodies out of the structure metric, as with `missing_txns`.
-    let body_bytes: usize = fetched.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
-    bytes.extra_fetch = req_bytes + resp.wire_size() - body_bytes;
-    bytes.missing_txns += body_bytes;
+    bytes.extra_fetch = fetch.wire - fetch.bodies;
+    bytes.missing_txns += fetch.bodies;
 
-    if fetched.len() != needs.len() {
+    if fetch.txns.len() != needs.len() {
         // Sender does not recognize a short ID: hostile or collided state.
         return RelayReport {
             outcome: RelayOutcome::Failed { p2: P2Failure::ShortIdCollision, fallback_bytes: 0 },
@@ -460,7 +468,7 @@ fn fetch_extras(
     }
 
     // Receiver: add the fetched bodies and finalize.
-    for tx in &fetched {
+    for tx in &fetch.txns {
         resolved.insert(short_id_8(tx.id()), *tx.id());
     }
     match protocol2::finalize_p2(&resolved, block.header().merkle_root, &p1_msg.order_bytes, cfg) {
@@ -484,7 +492,7 @@ fn account_p1(msg: &GrapheneBlockMsg, bytes: &mut ByteBreakdown) {
     let wire = Message::GrapheneBlock(msg.clone()).wire_size();
     bytes.bloom_s = msg.bloom_s.encoded_len();
     bytes.iblt_i = msg.iblt_i.serialized_size();
-    bytes.prefilled = msg.prefilled.iter().map(|tx| varint_len(tx.size() as u64) + tx.size()).sum();
+    bytes.prefilled = body_bytes(&msg.prefilled);
     bytes.order = msg.order_bytes.len();
     bytes.p1_overhead = wire - bytes.bloom_s - bytes.iblt_i - bytes.prefilled - bytes.order;
 }

@@ -35,7 +35,7 @@ fn main() {
                         a.insert(v);
                         b.insert(v);
                     }
-                    let single_ok = a.peel_clone().map(|r| r.complete).unwrap_or(false);
+                    let single_ok = a.clone().peel().map(|r| r.complete).unwrap_or(false);
                     acc.0.push(!single_ok);
                     let joint_ok =
                         ping_pong_decode(&mut a, &mut b).map(|r| r.complete).unwrap_or(false);

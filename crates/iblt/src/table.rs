@@ -271,16 +271,10 @@ impl Iblt {
     /// [`Iblt::peel`] with caller-provided working memory, so loops that
     /// decode many tables (ping-pong, the parameter search, netsim) pay for
     /// the worklist and seen-set allocations once instead of per attempt.
-    /// Forwards to [`Iblt::peel_partitioned`]; the element-at-a-time
-    /// reference survives as `ref_peel_cells` in `graphene-bench`.
-    pub fn peel_in_place(
-        &mut self,
-        scratch: &mut PeelScratch,
-    ) -> Result<DecodeResult, DecodeError> {
-        self.peel_partitioned(scratch)
-    }
-
-    /// The batched peel: partition-sequential seeding plus interleaved
+    /// The element-at-a-time reference survives as `ref_peel_cells` in
+    /// `graphene-bench`.
+    ///
+    /// The peel is batched: partition-sequential seeding plus interleaved
     /// hashing, bit-identical to the scalar peel.
     ///
     /// The paper's IBLT is already partitioned — hash `i` only ever lands in
@@ -299,7 +293,7 @@ impl Iblt {
     /// removals cannot change any outcome — the re-queue order (ascending
     /// `i`) matches the scalar loop exactly, as the equivalence proptests
     /// assert element for element.
-    pub fn peel_partitioned(
+    pub fn peel_in_place(
         &mut self,
         scratch: &mut PeelScratch,
     ) -> Result<DecodeResult, DecodeError> {
@@ -361,11 +355,6 @@ impl Iblt {
         }
         result.complete = self.cells.iter().all(Cell::is_empty_cell);
         Ok(result)
-    }
-
-    /// Convenience: peel a clone, leaving `self` untouched.
-    pub fn peel_clone(&self) -> Result<DecodeResult, DecodeError> {
-        self.clone().peel()
     }
 
     /// Remove an externally recovered value from this IBLT, with the sign it

@@ -8,19 +8,15 @@
 //!
 //! # The failure-recovery ladder
 //!
-//! A Graphene receiver that cannot reconstruct a block climbs a bounded
-//! ladder of cheaper-to-more-expensive rungs instead of looping on the
-//! same request:
-//!
-//! 1. **Graphene** — the ordinary Protocol 1 (+2) exchange;
-//! 2. **GrapheneRetry** — a [`Message::GetGrapheneRetry`] re-request; the
-//!    sender re-encodes with a fresh salt, a decayed β budget and an
-//!    inflated IBLT (Theorem 3's knobs), so a decode that failed by chance
-//!    almost surely succeeds on retry;
-//! 3. **ShortIdFetch** — an xthin-style exchange: the receiver ships a
-//!    mempool Bloom filter, the sender answers with the block's short IDs
-//!    plus whatever the filter missed;
-//! 4. **FullBlock** — the uncompressed block, which cannot fail.
+//! A Graphene receiver that cannot reconstruct a block climbs the bounded
+//! ladder of [`graphene::recovery`] — Graphene, inflated retries *or* a
+//! rateless cell stream, short-ID fetch, full block — instead of looping
+//! on the same request. The rung order and budgets are core's sans-IO
+//! [`Ladder`] under the peer's [`RecoveryPolicy`]; this module drives it
+//! with timeouts and failed decodes and supplies what is netsim's own:
+//! phases, timers, hedging, breakers, failover, bans and resource caps.
+//! (Compact Blocks, XThin and full-block peers retry their own request
+//! [`MAX_ATTEMPTS`] times, then take the full block.)
 //!
 //! If the ladder is exhausted against one server (e.g. it stalls), the
 //! session *fails over* to an alternate announcing peer and restarts at
@@ -45,7 +41,7 @@
 //! sample, so a tarpit cannot teach us its own slowness). When a session
 //! timer fires but the ladder has not given up, the re-request is
 //! *hedged*: a duplicate goes to the best alternate announcer, the first
-//! response wins ([`RxSession::accept_from`]), and the loser's late reply
+//! response wins ([`HedgeCounters::settle`]), and the loser's late reply
 //! is silently discarded — never punished, because an unsolicited-looking
 //! response may simply be the slower half of our own hedge. The same
 //! non-attributable failures feed a per-peer circuit breaker
@@ -67,13 +63,16 @@ use graphene::encode_cache::{CacheKey, CacheStats, EncodeCache};
 use graphene::error::{P1Failure, P2Failure};
 use graphene::protocol1::{self, CandidateSet, RetryTweak};
 use graphene::protocol2::{self};
-use graphene::recovery::rateless_salt;
+use graphene::recovery::{
+    rateless_open, rateless_resolve, rateless_salt, rateless_stream, shortid_filter, Ladder,
+    RecoveryPolicy, RungFailure, RungKind,
+};
+use graphene::session::block_txns_by_short_id;
 use graphene::NodeSnapshot;
 use graphene_blockchain::{Block, Header, Mempool, OrderingScheme, Transaction, TxId};
-use graphene_bloom::BloomFilter;
 use graphene_hashes::{sha256, short_id_6, short_id_8, Digest, SipKey};
 use graphene_iblt::rateless::{
-    CellStream, DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
+    DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
 };
 use graphene_wire::messages::{
     BlockTxnMsg, CmpctBlockMsg, FullBlockMsg, GetBlockTxnMsg, GetDataMsg, GetFullBlockMsg,
@@ -86,14 +85,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Same-rung retries for the non-Graphene protocols before the full-block
 /// rung (the seed's fixed retry budget).
 pub const MAX_ATTEMPTS: u32 = 3;
-
-/// `GetGrapheneRetry` re-requests before escalating to short-ID fetch.
-pub const MAX_GRAPHENE_RETRIES: u32 = 2;
-
-/// Coded-cell batches a rateless-rung session may consume (responses or
-/// timed-out window re-requests) before falling through to short-ID fetch
-/// — the bounded-batch knob mirroring `RecoveryPolicy::rateless_max_batches`.
-pub const MAX_RATELESS_BATCHES: u32 = 8;
 
 /// Misbehavior score at which a peer is banned.
 pub const BAN_THRESHOLD: u32 = 100;
@@ -276,32 +267,41 @@ pub enum RelayProtocol {
     FullBlocks,
 }
 
-/// Rungs of the failure-recovery ladder, cheapest first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rung {
-    /// The protocol's ordinary block request.
-    Graphene,
-    /// Re-request with inflated parameters and a fresh salt.
-    GrapheneRetry,
-    /// Rateless coded-cell stream against the candidate set the failed
-    /// Graphene attempt already built (peers that
-    /// [`Peer::enable_rateless`] take this rung *instead of* the retry).
-    Rateless,
-    /// Xthin-style short-ID fetch.
-    ShortIdFetch,
-    /// Uncompressed block (cannot fail).
-    FullBlock,
+/// Lifetime hedged-fetch counters.
+#[derive(Default)]
+struct HedgeCounters {
+    issued: u64,
+    won: u64,
+    wasted: u64,
 }
 
-/// What [`RxSession::accept_from`] decided about a response's sender.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HedgeOutcome {
-    /// The current server answered; no hedge was outstanding.
-    Normal,
-    /// The current server answered first; the outstanding hedge was wasted.
-    PrimaryWon,
-    /// The hedge target answered first and is promoted to server.
-    HedgeWon,
+impl HedgeCounters {
+    /// First-response-wins arbitration for a block-payload message from
+    /// `from`, counting how the race ended. `false` means the response is
+    /// neither from the current server nor the outstanding hedge —
+    /// unsolicited, or the losing half of a resolved hedge — and must be
+    /// silently discarded (never punished: it can be our own late hedge
+    /// reply).
+    fn settle(&mut self, s: &mut RxSession, from: PeerId) -> bool {
+        if from == s.server {
+            if s.hedge.take().is_some() {
+                self.wasted += 1;
+            }
+            return true;
+        }
+        if s.hedge != Some(from) {
+            return false;
+        }
+        // Promote the hedge: it answered first. The old server stays
+        // available as a failover candidate.
+        self.won += 1;
+        let old = std::mem::replace(&mut s.server, from);
+        s.hedge = None;
+        if !s.alternates.contains(&old) {
+            s.alternates.push(old);
+        }
+        true
+    }
 }
 
 /// Receiver-side session state for one block.
@@ -316,10 +316,8 @@ struct RxSession {
     /// Timer epoch: bumped whenever the session advances, so stale timers
     /// are recognised and ignored.
     attempt: u32,
-    /// Current ladder rung.
-    rung: Rung,
-    /// Same-rung retries consumed (plain re-requests / graphene retries).
-    retries: u32,
+    /// Current ladder rung and the budget spent on it.
+    ladder: Ladder,
     phase: RxPhase,
     /// Full ladder traversals completed (each ends in a failover attempt).
     cycles: u32,
@@ -337,8 +335,7 @@ impl RxSession {
             alternates: Vec::new(),
             hedge: None,
             attempt: 0,
-            rung: Rung::Graphene,
-            retries: 0,
+            ladder: Ladder::START,
             phase: RxPhase::Requested,
             cycles: 0,
             bodies: HashMap::new(),
@@ -366,33 +363,6 @@ impl RxSession {
     /// would be misrouted to `announce_timeout` when it fires.
     fn bump_epoch(&mut self) {
         self.attempt = (self.attempt + 1) & (ANN_FLAG - 1);
-    }
-
-    /// First-response-wins arbitration for a block-payload message from
-    /// `from`. `None` means the response is neither from the current
-    /// server nor the outstanding hedge — unsolicited, or the losing half
-    /// of a resolved hedge — and must be silently discarded (never
-    /// punished: it can be our own late hedge reply).
-    fn accept_from(&mut self, from: PeerId) -> Option<HedgeOutcome> {
-        if from == self.server {
-            return Some(if self.hedge.take().is_some() {
-                HedgeOutcome::PrimaryWon
-            } else {
-                HedgeOutcome::Normal
-            });
-        }
-        if self.hedge == Some(from) {
-            // Promote the hedge: it answered first. The old server stays
-            // available as a failover candidate.
-            let old = self.server;
-            self.server = from;
-            self.hedge = None;
-            if !self.alternates.contains(&old) {
-                self.alternates.push(old);
-            }
-            return Some(HedgeOutcome::HedgeWon);
-        }
-        None
     }
 }
 
@@ -508,9 +478,9 @@ pub struct Peer {
     /// Encode-once relay cache (None = per-receiver encoding, the seed
     /// behavior). Volatile: a crash/restore cycle restarts it empty.
     cache: Option<EncodeCache>,
-    /// Whether this peer's recovery ladder streams rateless cells instead
-    /// of inflated Graphene retries (off = the seed ladder).
-    rateless: bool,
+    /// The Graphene recovery ladder's budgets; `rateless` off = the seed
+    /// ladder.
+    recovery: RecoveryPolicy,
     /// Adaptive failure detection: RTO-derived timers, hedged fetches and
     /// the per-peer circuit breaker (off = the seed's fixed 2 s timer).
     adaptive: bool,
@@ -525,10 +495,8 @@ pub struct Peer {
     /// In-flight request stamps: (block, server) → send time. Karn's
     /// rule: a stamp consumed by a timeout never yields an RTT sample.
     req_sent: HashMap<(Digest, PeerId), SimTime>,
-    /// Lifetime hedged-fetch counters (issued / won / wasted).
-    hedges_issued: u64,
-    hedges_won: u64,
-    hedges_wasted: u64,
+    /// Lifetime hedged-fetch counters.
+    hedges: HedgeCounters,
     /// Block-announcement fan-out policy (flood = the seed behavior).
     fanout: FanoutPolicy,
     /// Bounded inbound frame queue: (sender, decoded message, frame bytes).
@@ -611,15 +579,13 @@ impl Peer {
             banned: HashSet::new(),
             adv_nonce: 0,
             cache: None,
-            rateless: false,
+            recovery: RecoveryPolicy::default(),
             adaptive: false,
             now: SimTime::ZERO,
             rtt: RttTable::new(MAX_RTT_ENTRIES),
             health: HealthTracker::new(MAX_HEALTH_ENTRIES),
             req_sent: HashMap::new(),
-            hedges_issued: 0,
-            hedges_won: 0,
-            hedges_wasted: 0,
+            hedges: HedgeCounters::default(),
             fanout: FanoutPolicy::Flood,
             inbox: VecDeque::new(),
             inbox_bytes: 0,
@@ -649,8 +615,8 @@ impl Peer {
     }
 
     /// Current ladder rung of the session for `block_id`, if one is open.
-    pub fn session_rung(&self, block_id: &Digest) -> Option<Rung> {
-        self.sessions.get(block_id).map(|s| s.rung)
+    pub fn session_rung(&self, block_id: &Digest) -> Option<RungKind> {
+        self.sessions.get(block_id).map(|s| s.ladder.rung)
     }
 
     /// Number of open receive sessions.
@@ -685,12 +651,12 @@ impl Peer {
     /// stream: the "no retry cliff" ladder. Off by default (the seed
     /// ladder); rateless sweeps opt in.
     pub fn enable_rateless(&mut self) {
-        self.rateless = true;
+        self.recovery.rateless = true;
     }
 
     /// Whether the rateless rung is enabled.
     pub fn rateless_enabled(&self) -> bool {
-        self.rateless
+        self.recovery.rateless
     }
 
     /// Set the block-announcement fan-out policy. The default
@@ -750,7 +716,7 @@ impl Peer {
 
     /// Lifetime hedged-fetch counters: (issued, won, wasted).
     pub fn hedge_stats(&self) -> (u64, u64, u64) {
-        (self.hedges_issued, self.hedges_won, self.hedges_wasted)
+        (self.hedges.issued, self.hedges.won, self.hedges.wasted)
     }
 
     /// Lifetime circuit-breaker counters: (trips, half-open probes).
@@ -1312,7 +1278,7 @@ impl Peer {
         if session.attempt != attempt {
             return Output::none(); // session advanced; stale timer
         }
-        let out = self.escalate(block_id);
+        let out = self.escalate(block_id, RungFailure::Failed);
         let out = self.mangle_output(out);
         self.note_usage();
         out
@@ -1346,8 +1312,10 @@ impl Peer {
     }
 
     /// Climb one rung of the recovery ladder (or retry within the current
-    /// rung while its budget lasts). Exhausting the ladder fails over.
-    fn escalate(&mut self, block_id: Digest) -> Output {
+    /// rung while its budget lasts); Graphene sessions move as
+    /// [`Ladder::next`] says under this peer's [`RecoveryPolicy`].
+    /// Exhausting the ladder fails over.
+    fn escalate(&mut self, block_id: Digest, why: RungFailure) -> Output {
         if self.adaptive {
             // The timer fired: charge a non-attributable failure to the
             // current server and drop its in-flight stamp (Karn's rule —
@@ -1359,121 +1327,72 @@ impl Peer {
             }
         }
         let is_graphene = matches!(self.protocol, RelayProtocol::Graphene(_));
-        let rateless_on = self.rateless;
-        let mut escalated = false;
+        let policy = self.recovery;
         // `(from_index, count)` of the cell window to (re-)request when the
         // session lands on the rateless rung.
         let mut cell_window: Option<(u64, u32)> = None;
-        let (server, epoch, rung, retries) = {
+        let (server, epoch, at, escalated) = {
             let Some(s) = self.sessions.get_mut(&block_id) else {
                 return Output::none();
             };
             s.bump_epoch();
-            match s.rung {
-                Rung::Graphene => {
-                    let has_candidates = matches!(s.phase, RxPhase::GrapheneP2 { .. });
-                    if is_graphene && rateless_on && has_candidates {
-                        // The "no retry cliff" path: instead of re-shipping
-                        // whole inflated sketches, grow a coded-cell stream
-                        // against the candidate set the failed attempt
-                        // already built.
-                        let RxPhase::GrapheneP2 { state, header, order_bytes, block_tx_count } =
-                            std::mem::replace(&mut s.phase, RxPhase::Requested)
-                        else {
-                            unreachable!("phase checked above");
-                        };
-                        // Both the partial peel and the candidate-count gap
-                        // lower-bound (and undercount) the difference; 3×
-                        // covers the undercount plus the codec's ~1.35d
-                        // overhead (same sizing as the core recovery rung).
-                        let d_est = (state.partial_left.len() + state.partial_right.len())
-                            .max(state.z.abs_diff(block_tx_count))
-                            .max(4);
-                        let batch = (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH);
-                        let decoder = RatelessDecoder::new(
-                            rateless_salt(&block_id),
-                            state.by_short.keys().copied(),
-                        );
-                        s.phase = RxPhase::Rateless {
-                            by_short: state.by_short,
-                            decoder: Box::new(decoder),
-                            header,
-                            order_bytes,
-                        };
-                        s.rung = Rung::Rateless;
-                        s.retries = 0;
-                        escalated = true;
-                        cell_window = Some((0, batch as u32));
-                    } else if is_graphene {
-                        s.rung = Rung::GrapheneRetry;
-                        s.retries = 1;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    } else if s.retries + 1 < MAX_ATTEMPTS {
-                        s.retries += 1; // plain re-request
-                        s.phase = RxPhase::Requested;
-                    } else {
-                        s.rung = Rung::FullBlock;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    }
-                }
-                Rung::GrapheneRetry => {
-                    if s.retries < MAX_GRAPHENE_RETRIES {
-                        s.retries += 1;
-                    } else {
-                        s.rung = Rung::ShortIdFetch;
-                        escalated = true;
-                    }
-                    s.phase = RxPhase::Requested;
-                }
-                Rung::Rateless => {
-                    // A timed-out (lost or shed) window, or an exhausted
-                    // stream budget: re-request the pending window while
-                    // batches remain, else fall through to short IDs.
-                    if s.retries < MAX_RATELESS_BATCHES {
-                        if let RxPhase::Rateless { decoder, .. } = &s.phase {
-                            s.retries += 1;
-                            cell_window =
-                                Some((decoder.received(), decoder.suggested_batch() as u32));
-                        } else {
-                            // Decode state lost (e.g. mid-fetch timeout):
-                            // nothing to grow, fall through.
-                            s.rung = Rung::ShortIdFetch;
-                            s.phase = RxPhase::Requested;
-                            escalated = true;
-                        }
-                    } else {
-                        s.rung = Rung::ShortIdFetch;
-                        s.phase = RxPhase::Requested;
-                        escalated = true;
-                    }
-                }
-                Rung::ShortIdFetch => {
-                    s.rung = Rung::FullBlock;
-                    s.phase = RxPhase::Requested;
-                    escalated = true;
-                }
-                Rung::FullBlock => {
-                    // Ladder exhausted against this server: fail over.
-                    return self.failover(block_id);
-                }
+            let next = if is_graphene {
+                let has_candidates = matches!(s.phase, RxPhase::GrapheneP2 { .. });
+                // A rateless session whose decoder is gone (it timed out
+                // mid-fetch) has nothing left to grow.
+                let lost_stream = s.ladder.rung == RungKind::Rateless
+                    && !matches!(s.phase, RxPhase::Rateless { .. });
+                let why = if lost_stream { RungFailure::Abandoned } else { why };
+                s.ladder.next(&policy, has_candidates, why)
+            } else if s.ladder.rung == RungKind::FullBlock {
+                None
+            } else if s.ladder.retries + 1 < MAX_ATTEMPTS {
+                Some(Ladder { retries: s.ladder.retries + 1, ..s.ladder }) // plain re-request
+            } else {
+                Some(Ladder { rung: RungKind::FullBlock, ..s.ladder })
+            };
+            let Some(next) = next else {
+                // Ladder exhausted against this server: fail over.
+                return self.failover(block_id);
+            };
+            if next.rung != RungKind::Rateless {
+                s.phase = RxPhase::Requested;
+            } else if let RxPhase::Rateless { decoder, .. } = &s.phase {
+                // A timed-out (lost or shed) window: re-request the
+                // pending one.
+                cell_window = Some((decoder.received(), decoder.suggested_batch() as u32));
+            } else if let RxPhase::GrapheneP2 { state, header, order_bytes, block_tx_count } =
+                std::mem::replace(&mut s.phase, RxPhase::Requested)
+            {
+                // The "no retry cliff" path: instead of re-shipping whole
+                // inflated sketches, grow a coded-cell stream against the
+                // candidate set the failed attempt already built.
+                let (decoder, batch) = rateless_open(&block_id, &state, block_tx_count);
+                cell_window = Some((0, batch as u32));
+                s.phase = RxPhase::Rateless {
+                    by_short: state.by_short,
+                    decoder: Box::new(decoder),
+                    header,
+                    order_bytes,
+                };
             }
-            (s.server, s.attempt, s.rung, s.retries)
+            let escalated = next.rung != s.ladder.rung;
+            s.ladder = next;
+            (s.server, s.attempt, next, escalated)
         };
-        let msg = match rung {
-            Rung::Graphene => self.request_for(block_id),
-            Rung::GrapheneRetry => Message::GetGrapheneRetry(GetGrapheneRetryMsg {
+        let msg = match at.rung {
+            RungKind::Graphene => self.request_for(block_id),
+            RungKind::GrapheneRetry => Message::GetGrapheneRetry(GetGrapheneRetryMsg {
                 block_id,
                 mempool_count: self.mempool.len() as u64,
-                attempt: retries,
+                attempt: at.retries,
             }),
-            Rung::Rateless => {
+            RungKind::Rateless => {
                 let (from_index, count) = cell_window.unwrap_or((0, 8));
                 Message::GetMoreCells(GetMoreCellsMsg { block_id, from_index, count })
             }
-            Rung::ShortIdFetch => self.shortid_request(block_id, 0.001),
-            Rung::FullBlock => Message::GetFullBlock(GetFullBlockMsg { block_id }),
+            RungKind::ShortIdFetch => self.shortid_request(block_id, policy.shortid_fpr),
+            RungKind::FullBlock => Message::GetFullBlock(GetFullBlockMsg { block_id }),
         };
         let mut out = Output::none();
         out.escalations = escalated as u32;
@@ -1483,7 +1402,7 @@ impl Peer {
         // loser's late reply is discarded without punishment.
         if self.adaptive {
             if let Some(h) = self.pick_hedge(&block_id) {
-                self.hedges_issued += 1;
+                self.hedges.issued += 1;
                 out.send.push((h, msg.clone()));
             }
         }
@@ -1560,8 +1479,7 @@ impl Peer {
                 self.sessions.remove(&block_id);
                 return Output::none();
             }
-            s.rung = Rung::Graphene;
-            s.retries = 0;
+            s.ladder = Ladder::START;
             s.phase = RxPhase::Requested;
             (s.server, s.attempt, switched)
         };
@@ -1619,11 +1537,8 @@ impl Peer {
 
     /// An xthin-style request: our whole mempool in a Bloom filter.
     fn shortid_request(&self, block_id: Digest, fpr: f64) -> Message {
-        let mut filter =
-            BloomFilter::new(self.mempool.len().max(1), fpr, block_id.low_u64() ^ 0x7874);
-        let pool_ids: Vec<Digest> = self.mempool.iter().map(|tx| *tx.id()).collect();
-        filter.insert_batch(&pool_ids);
-        Message::XthinGetData(XthinGetDataMsg { block_id, mempool_filter: filter })
+        let mempool_filter = shortid_filter(&block_id, &self.mempool, fpr);
+        Message::XthinGetData(XthinGetDataMsg { block_id, mempool_filter })
     }
 
     fn on_inv(&mut self, from: PeerId, m: InvMsg) -> Output {
@@ -1742,13 +1657,8 @@ impl Peer {
             let Some(session) = self.sessions.get_mut(&block_id) else {
                 return Output::none();
             };
-            let Some(outcome) = session.accept_from(from) else {
+            if !self.hedges.settle(session, from) {
                 return Output::none(); // unsolicited, or a hedge loser's late reply
-            };
-            match outcome {
-                HedgeOutcome::Normal => {}
-                HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-                HedgeOutcome::HedgeWon => self.hedges_won += 1,
             }
             for tx in &m.prefilled {
                 session.add_body(&self.limits, tx);
@@ -1860,13 +1770,8 @@ impl Peer {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        let Some(outcome) = session.accept_from(from) else {
+        if !self.hedges.settle(session, from) {
             return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
         }
         let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
             return Output::none();
@@ -1883,7 +1788,7 @@ impl Peer {
             Ok(ok) => {
                 if ok.needs_fetch.is_empty() {
                     let Some(ids) = ok.ordered_ids else {
-                        return self.escalate(block_id);
+                        return self.escalate(block_id, RungFailure::Failed);
                     };
                     self.complete_block(block_id, header, ids, neighbors)
                 } else {
@@ -1907,7 +1812,7 @@ impl Peer {
                     return self.punish(from, MALFORMED_SCORE);
                 }
                 // Undecodable but not attributable: climb the ladder.
-                self.escalate(block_id)
+                self.escalate(block_id, RungFailure::Failed)
             }
         }
     }
@@ -1916,10 +1821,7 @@ impl Peer {
         let Some(block) = self.blocks.get(&m.block_id) else {
             return Output::none();
         };
-        let lookup: HashMap<u64, &Transaction> =
-            block.txns().iter().map(|tx| (short_id_8(tx.id()), tx)).collect();
-        let txns: Vec<Transaction> =
-            m.short_ids.iter().filter_map(|s| lookup.get(s).map(|tx| (*tx).clone())).collect();
+        let txns = block_txns_by_short_id(block, &m.short_ids);
         let mut out = Output::none();
         out.send.push((from, Message::BlockTxn(BlockTxnMsg { block_id: m.block_id, txns })));
         out
@@ -1947,16 +1849,14 @@ impl Peer {
                 if let Some(cache) = &self.cache {
                     cache.note_bypass();
                 }
-                let salt = rateless_salt(&m.block_id);
-                let mut stream =
-                    CellStream::new(salt, block.txns().iter().map(|tx| short_id_8(tx.id())));
+                let mut stream = rateless_stream(block);
                 stream.skip(m.from_index);
                 let cells = stream.cells((m.count as usize).min(MAX_CELLS_PER_BATCH));
                 out.send.push((
                     from,
                     Message::RatelessCells(RatelessCellsMsg {
                         block_id: m.block_id,
-                        salt,
+                        salt: stream.salt(),
                         start_index: m.from_index,
                         cells,
                     }),
@@ -1989,22 +1889,18 @@ impl Peer {
         enum Step {
             Ignore,
             Hostile,
-            FallThrough,
+            FallThrough(RungFailure),
             Request { from_index: u64, count: u32, epoch: u32 },
             Fetch { needs: Vec<u64>, epoch: u32 },
             Done { ids: Vec<TxId>, header: Header },
         }
+        let policy = self.recovery;
         let step = {
             let Some(session) = self.sessions.get_mut(&block_id) else {
                 return Output::none();
             };
-            let Some(outcome) = session.accept_from(from) else {
+            if !self.hedges.settle(session, from) {
                 return Output::none(); // unsolicited, or a hedge loser's late reply
-            };
-            match outcome {
-                HedgeOutcome::Normal => {}
-                HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-                HedgeOutcome::HedgeWon => self.hedges_won += 1,
             }
             let state_limit = self.limits.max_rateless_state_bytes;
             let RxPhase::Rateless { by_short, decoder, header, order_bytes } = &mut session.phase
@@ -2015,8 +1911,7 @@ impl Peer {
             if decoder.state_bytes() + incoming > state_limit {
                 // Decode state would outgrow its budget: abandon the
                 // stream (short IDs bound the worst case instead).
-                session.retries = MAX_RATELESS_BATCHES;
-                Step::FallThrough
+                Step::FallThrough(RungFailure::Abandoned)
             } else {
                 match decoder.push_cells(m.start_index, &m.cells) {
                     // A duplicate or reordered window (retransmission
@@ -2026,25 +1921,23 @@ impl Peer {
                     // Double-decode: the §6.1 attack in rateless form.
                     Err(RatelessError::Malformed(_)) => Step::Hostile,
                     Ok(DecodeProgress::NeedMore(n)) => {
-                        if session.retries >= MAX_RATELESS_BATCHES {
-                            Step::FallThrough
-                        } else {
-                            session.retries += 1;
-                            // Inline epoch bump (`bump_epoch` would
-                            // conflict with the live decoder borrow).
-                            session.attempt = (session.attempt + 1) & (ANN_FLAG - 1);
-                            Step::Request {
-                                from_index: decoder.received(),
-                                count: n.min(MAX_CELLS_PER_BATCH) as u32,
-                                epoch: session.attempt,
+                        match session.ladder.next(&policy, true, RungFailure::Failed) {
+                            Some(next) if next.rung == RungKind::Rateless => {
+                                let from_index = decoder.received();
+                                session.ladder = next;
+                                session.bump_epoch();
+                                Step::Request {
+                                    from_index,
+                                    count: n.min(MAX_CELLS_PER_BATCH) as u32,
+                                    epoch: session.attempt,
+                                }
                             }
+                            // Window budget spent: on to the next rung.
+                            _ => Step::FallThrough(RungFailure::Failed),
                         }
                     }
                     Ok(DecodeProgress::Decoded(diff)) => {
-                        let mut resolved = by_short.clone();
-                        for sid in &diff.only_local {
-                            resolved.remove(sid);
-                        }
+                        let resolved = rateless_resolve(by_short, &diff);
                         let header = *header;
                         let order_bytes = order_bytes.clone();
                         if diff.only_remote.is_empty() {
@@ -2053,28 +1946,19 @@ impl Peer {
                                 header.merkle_root,
                                 &order_bytes,
                                 &cfg,
-                            ) {
-                                Ok(ok) => match ok.ordered_ids {
-                                    Some(ids) => Step::Done { ids, header },
-                                    None => {
-                                        session.retries = MAX_RATELESS_BATCHES;
-                                        Step::FallThrough
-                                    }
-                                },
-                                Err(_) => {
-                                    // Decoded but would not finalize: the
-                                    // stream cannot do better, fall through.
-                                    session.retries = MAX_RATELESS_BATCHES;
-                                    Step::FallThrough
-                                }
+                            )
+                            .map(|ok| ok.ordered_ids)
+                            {
+                                Ok(Some(ids)) => Step::Done { ids, header },
+                                // Decoded but would not finalize: the
+                                // stream cannot do better.
+                                _ => Step::FallThrough(RungFailure::Abandoned),
                             }
                         } else {
                             session.bump_epoch();
-                            let epoch = session.attempt;
-                            let needs = diff.only_remote.clone();
                             session.phase =
                                 RxPhase::GrapheneFetch { resolved, header, order_bytes };
-                            Step::Fetch { needs, epoch }
+                            Step::Fetch { needs: diff.only_remote, epoch: session.attempt }
                         }
                     }
                 }
@@ -2083,7 +1967,7 @@ impl Peer {
         match step {
             Step::Ignore => Output::none(),
             Step::Hostile => self.punish(from, MALFORMED_SCORE),
-            Step::FallThrough => self.escalate(block_id),
+            Step::FallThrough(why) => self.escalate(block_id, why),
             Step::Request { from_index, count, epoch } => {
                 let mut out = Output::none();
                 out.send.push((
@@ -2113,13 +1997,8 @@ impl Peer {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        let Some(outcome) = session.accept_from(from) else {
+        if !self.hedges.settle(session, from) {
             return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
         }
         let key = cmpct_key(&m.header, m.nonce);
         let mut by_short: HashMap<u64, Option<TxId>> = HashMap::new();
@@ -2182,13 +2061,8 @@ impl Peer {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        let Some(outcome) = session.accept_from(from) else {
+        if !self.hedges.settle(session, from) {
             return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
         }
         for tx in &m.txns {
             session.add_body(&self.limits, tx);
@@ -2251,7 +2125,7 @@ impl Peer {
             _ => Output::none(),
         };
         if needs_escalate {
-            return self.escalate(block_id);
+            return self.escalate(block_id, RungFailure::Failed);
         }
         out
     }
@@ -2285,13 +2159,8 @@ impl Peer {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        let Some(outcome) = session.accept_from(from) else {
+        if !self.hedges.settle(session, from) {
             return Output::none(); // unsolicited, or a hedge loser's late reply
-        };
-        match outcome {
-            HedgeOutcome::Normal => {}
-            HedgeOutcome::PrimaryWon => self.hedges_wasted += 1,
-            HedgeOutcome::HedgeWon => self.hedges_won += 1,
         }
         for tx in &m.missing {
             session.add_body(&self.limits, tx);
@@ -2352,11 +2221,7 @@ impl Peer {
         // Full blocks self-validate (merkle root below), so any sender is
         // acceptable — but a hedged session still settles its race here
         // for the win/waste counters and late-reply dedup.
-        match session.accept_from(from) {
-            Some(HedgeOutcome::PrimaryWon) => self.hedges_wasted += 1,
-            Some(HedgeOutcome::HedgeWon) => self.hedges_won += 1,
-            _ => {}
-        }
+        self.hedges.settle(session, from);
         // Accept a valid full block from any peer (a failed-over session's
         // old server may still answer); `from_parts` revalidates the merkle
         // root, so garbage cannot get in.
@@ -2580,7 +2445,7 @@ mod tests {
         let hostile = |_: usize| {
             Message::XthinGetData(XthinGetDataMsg {
                 block_id: Digest::ZERO,
-                mempool_filter: BloomFilter::new(75_000, 0.001, 7),
+                mempool_filter: graphene_bloom::BloomFilter::new(75_000, 0.001, 7),
             })
         };
         for i in 1..=8usize {
@@ -2843,6 +2708,32 @@ mod tests {
     }
 
     #[test]
+    fn rateless_stream_spends_exactly_its_window_budget() {
+        let (mut server, mut receiver, id, out) = rateless_session();
+        // Starve the stream: every window the receiver asks for is served
+        // one cell at a time, so it never decodes and the budget must end
+        // it — at exactly `rateless_max_batches` windows, then short IDs.
+        let mut next = out.send;
+        let mut windows = 0u32;
+        loop {
+            let (_, req) = next.into_iter().next().expect("receiver went quiet");
+            let Message::GetMoreCells(mut req) = req else {
+                assert!(matches!(req, Message::XthinGetData(_)), "expected short IDs: {req:?}");
+                break;
+            };
+            windows += 1;
+            assert!(windows <= 64, "the window budget never ran out");
+            assert_eq!(receiver.session_rung(&id), Some(RungKind::Rateless));
+            req.count = 1;
+            let sout = server.handle(PeerId(1), Message::GetMoreCells(req), &[]);
+            let (_, cells) = sout.send.into_iter().next().expect("cells");
+            next = receiver.handle(PeerId(0), cells, &[]).send;
+        }
+        assert_eq!(windows, RecoveryPolicy::default().rateless_max_batches);
+        assert_eq!(receiver.session_rung(&id), Some(RungKind::ShortIdFetch));
+    }
+
+    #[test]
     fn duplicate_cell_window_is_ignored_not_punished() {
         let (mut server, mut receiver, id, out) = rateless_session();
         let (_, req) = out.send.into_iter().next().expect("window request");
@@ -3011,7 +2902,7 @@ mod tests {
         }
         assert_eq!(p.breaker_state(PeerId(5)), BreakerState::Open);
         // Exhaust the ladder so the next timeout fails over.
-        p.sessions.get_mut(&id).expect("session open").rung = Rung::FullBlock;
+        p.sessions.get_mut(&id).expect("session open").ladder.rung = RungKind::FullBlock;
         let out = p.failover(id);
         assert_eq!(out.failovers, 1);
         assert_eq!(
