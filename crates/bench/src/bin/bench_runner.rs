@@ -19,12 +19,16 @@ use graphene::protocol1;
 use graphene::session::{relay_block, relay_block_cached};
 use graphene::EncodeCache;
 use graphene_bench::bench_scenario;
-use graphene_bench::reference::{ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs};
+use graphene_bench::reference::{
+    ref_merkle_root, ref_peel_cells, ref_subtract_peel, RefBloom, RefGcs,
+};
 use graphene_bench::runner::{regressions, result, time_fn, to_json, BenchResult};
 use graphene_bloom::{
     bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership, ProbeScratch,
 };
-use graphene_hashes::{sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES};
+use graphene_hashes::{
+    merkle_root, sha256, siphash24, siphash24_x4_u64, Digest, SipKey, SIP_LANES,
+};
 use graphene_iblt::{CellStream, DecodeProgress, Iblt, PeelScratch, RatelessDecoder};
 use graphene_iblt_params::hypergraph::Scratch;
 use graphene_iblt_params::{params_for, search_c_with, FailureRate, SearchConfig};
@@ -159,6 +163,22 @@ fn bench_siphash_x4(it: &Iters) -> BenchResult {
         black_box(acc);
     });
     result("siphash_x4_4096vals", iters, ns, Some(ref_ns))
+}
+
+fn bench_merkle_root(it: &Iters) -> BenchResult {
+    // The receiver's Merkle check on a 2000-transaction block (the
+    // relay-partial block size): pairs hashed eight lanes at a time with
+    // direct padding, versus the byte-at-a-time hasher run one node at a
+    // time.
+    let leaves = ids(2000, 31);
+    let (warmup, iters) = it.of(200);
+    let ns = time_fn(warmup, iters, || {
+        black_box(merkle_root(black_box(&leaves)));
+    });
+    let ref_ns = time_fn(warmup, iters, || {
+        black_box(ref_merkle_root(black_box(&leaves)));
+    });
+    result("merkle_root_2000", iters, ns, Some(ref_ns))
 }
 
 fn bench_iblt_peel(it: &Iters) -> BenchResult {
@@ -584,6 +604,7 @@ fn main() {
         bench_bloom_contains(&it, HashStrategy::KPiece),
         bench_bloom_contains_batch(&it),
         bench_siphash_x4(&it),
+        bench_merkle_root(&it),
         bench_iblt_peel(&it),
         bench_iblt_peel_partitioned(&it),
         bench_strata_estimate(&it),

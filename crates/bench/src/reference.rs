@@ -3,8 +3,10 @@
 //! These reproduce, line for line, the algorithms the production crates used
 //! *before* the zero-allocation pass: per-insert index `Vec`s and a second
 //! modulo in the Bloom filter, per-value scratch `Vec` + fresh `HashSet` and
-//! clone-based subtraction in the IBLT peel, and a full Golomb-stream decode
-//! on every GCS query. They exist for two reasons:
+//! clone-based subtraction in the IBLT peel, a full Golomb-stream decode
+//! on every GCS query, and a SHA-256 that pads one byte per `update` call
+//! under a Merkle tree hashed one node at a time. They exist for two
+//! reasons:
 //!
 //! 1. **Equivalence** — `tests/equivalence.rs` asserts the optimized paths
 //!    return bit-identical bits/bytes/decodings against these references.
@@ -355,6 +357,156 @@ impl RefGcs {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 and Merkle (old shape: byte-at-a-time padding, one streaming
+// hasher per node)
+// ---------------------------------------------------------------------------
+
+const REF_K: [u32; 64] = [
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+];
+
+const REF_H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// The pre-optimization streaming SHA-256: the FIPS 180-4 compression
+/// over a byte buffer, with `finalize` padding one byte per `update` call.
+struct RefSha256 {
+    state: [u32; 8],
+    len: u64,
+    buf: [u8; 64],
+    buf_len: usize,
+}
+
+impl RefSha256 {
+    fn new() -> Self {
+        RefSha256 { state: REF_H0, len: 0, buf: [0u8; 64], buf_len: 0 }
+    }
+
+    fn update(&mut self, data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        let mut data = data;
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len == 64 {
+                let block = self.buf;
+                self.compress(&block);
+                self.buf_len = 0;
+            }
+        }
+        while data.len() >= 64 {
+            let (block, rest) = data.split_at(64);
+            self.compress(block.try_into().expect("64-byte block"));
+            data = rest;
+        }
+        if !data.is_empty() {
+            self.buf[..data.len()].copy_from_slice(data);
+            self.buf_len = data.len();
+        }
+    }
+
+    fn finalize(mut self) -> Digest {
+        let bit_len = self.len.wrapping_mul(8);
+        self.update(&[0x80]);
+        while self.buf_len != 56 {
+            self.update(&[0x00]);
+        }
+        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, word) in self.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    fn compress(&mut self, block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(REF_K[i]).wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// One-shot SHA-256 through the byte-at-a-time reference hasher.
+pub fn ref_sha256(data: &[u8]) -> Digest {
+    let mut h = RefSha256::new();
+    h.update(data);
+    h.finalize()
+}
+
+/// `ref_sha256(ref_sha256(data))`.
+pub fn ref_sha256d(data: &[u8]) -> Digest {
+    ref_sha256(ref_sha256(data).as_ref())
+}
+
+/// One Merkle node, `sha256d(left ‖ right)`, through the reference hasher.
+pub fn ref_hash_pair(left: &Digest, right: &Digest) -> Digest {
+    let mut buf = [0u8; 64];
+    buf[..32].copy_from_slice(left.as_ref());
+    buf[32..].copy_from_slice(right.as_ref());
+    ref_sha256d(&buf)
+}
+
+/// Every level of the Bitcoin Merkle tree over `txids`, leaves first,
+/// built one node at a time (an odd level pairs its last node with
+/// itself). Empty input yields one empty level.
+pub fn ref_merkle_levels(txids: &[Digest]) -> Vec<Vec<Digest>> {
+    let mut levels = vec![txids.to_vec()];
+    while levels.last().expect("non-empty").len() > 1 {
+        let level = levels.last().expect("non-empty");
+        let next = level
+            .chunks(2)
+            .map(|pair| ref_hash_pair(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+            .collect();
+        levels.push(next);
+    }
+    levels
+}
+
+/// The Merkle root of `txids` through [`ref_merkle_levels`];
+/// [`Digest::ZERO`] for an empty list.
+pub fn ref_merkle_root(txids: &[Digest]) -> Digest {
+    ref_merkle_levels(txids).last().and_then(|top| top.first()).copied().unwrap_or(Digest::ZERO)
 }
 
 #[cfg(test)]

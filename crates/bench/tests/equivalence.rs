@@ -1,19 +1,24 @@
 //! Batch-kernel equivalence: every batched API — `insert_batch` /
 //! `contains_batch` on the Bloom filter, `insert_batch` / `contains_batch`
-//! on the GCS, and the partitioned IBLT peel — must be *bit-identical* to
-//! the element-at-a-time reference loops kept in
-//! [`graphene_bench::reference`]. Identical bits and bytes, identical
-//! answers, identical output *order*, identical peel remainders; batching
-//! is a speed lever, never a behavior change.
+//! on the GCS, the partitioned IBLT peel, and the lane-interleaved SHA-256
+//! under `merkle_root` / `MerkleTree` — must be *bit-identical* to the
+//! element-at-a-time reference loops kept in [`graphene_bench::reference`].
+//! Identical bits and bytes, identical answers, identical output *order*,
+//! identical peel remainders; batching is a speed lever, never a behavior
+//! change.
 //!
 //! Edge cases the generators and unit tests pin explicitly: empty batches,
 //! single-element batches, and batches with duplicate keys.
 
-use graphene_bench::reference::{ref_peel_cells, ref_peel_cells_with_remainder, RefBloom, RefGcs};
+use graphene_bench::reference::{
+    ref_hash_pair, ref_merkle_levels, ref_merkle_root, ref_peel_cells,
+    ref_peel_cells_with_remainder, ref_sha256, ref_sha256d, RefBloom, RefGcs,
+};
 use graphene_bloom::{
     bitvec::BitVec, BloomFilter, GcsBuilder, HashStrategy, Membership, ProbeScratch,
 };
-use graphene_hashes::{sha256, Digest};
+use graphene_hashes::merkle::{hash_pair, hash_pairs_x8};
+use graphene_hashes::{merkle_root, sha256, sha256d, Digest, MerkleTree, SHA_LANES};
 use graphene_iblt::{Iblt, PeelScratch};
 use proptest::prelude::*;
 
@@ -41,7 +46,91 @@ fn batch_with_dups(n: usize, dups: usize, tag: u64) -> Vec<Digest> {
     out
 }
 
+/// `merkle_root` and every `MerkleTree` view of the same leaves match the
+/// node-at-a-time reference: the root, each proof's sibling path (the
+/// reference tree's nodes), and verification against the reference root.
+/// Leaves are proven at both ends, in the middle and at `probe`.
+fn check_merkle(leaves: &[Digest], probe: usize) {
+    let n = leaves.len();
+    let levels = ref_merkle_levels(leaves);
+    let root = ref_merkle_root(leaves);
+    assert_eq!(merkle_root(leaves), root, "merkle_root, n = {n}");
+    let tree = MerkleTree::new(leaves);
+    assert_eq!(tree.root(), root, "MerkleTree::root, n = {n}");
+    assert_eq!((tree.len(), tree.is_empty()), (n, n == 0), "n = {n}");
+    assert!(tree.prove(n).is_none());
+    if n == 0 {
+        return;
+    }
+    for index in [0, n / 2, n - 1, probe % n] {
+        let proof = tree.prove(index).expect("index in range");
+        let mut idx = index;
+        for (level, sibling) in levels.iter().zip(&proof.siblings) {
+            assert_eq!(*sibling, *level.get(idx ^ 1).unwrap_or(&level[idx]), "n = {n}");
+            idx /= 2;
+        }
+        assert_eq!(proof.siblings.len(), levels.len() - 1, "n = {n}");
+        assert!(proof.verify(&leaves[index], &root), "n = {n}, leaf {index}");
+        assert!(!proof.verify(&leaves[index], &ref_sha256(root.as_ref())), "n = {n}");
+    }
+}
+
+/// Every tree size up to 48 and every residue of `n mod 16` near the top
+/// of the range: each ragged-tail width of the lane kernel (1 to 7 live
+/// pairs, both sides of the lane/scalar cut-over) on every level shape.
+#[test]
+fn merkle_matches_reference_at_every_residue() {
+    let leaves = digests(2100, 0x3e4);
+    for n in (0..=48).chain(2084..=2100) {
+        check_merkle(&leaves[..n], n * 7);
+    }
+}
+
+/// SHA-256 and double SHA-256 equal the byte-at-a-time reference at every
+/// message length across the 55/56/64-byte padding edges and into the
+/// third block.
+#[test]
+fn sha256_matches_reference_at_every_length() {
+    let data: Vec<u8> = (0..130u32).map(|i| (i * 37 + 11) as u8).collect();
+    for len in 0..=130 {
+        assert_eq!(sha256(&data[..len]), ref_sha256(&data[..len]), "sha256, len {len}");
+        assert_eq!(sha256d(&data[..len]), ref_sha256d(&data[..len]), "sha256d, len {len}");
+    }
+}
+
 proptest! {
+    /// Random messages up to 300 bytes hash as the reference does.
+    #[test]
+    fn sha256_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+        prop_assert_eq!(sha256(&data), ref_sha256(&data));
+        prop_assert_eq!(sha256d(&data), ref_sha256d(&data));
+    }
+
+    /// Random tree sizes up to 2100 leaves (every residue mod 16 is
+    /// reachable) build the reference root and proofs.
+    #[test]
+    fn merkle_matches_reference(n in 0usize..2100, tag: u64, probe: usize) {
+        check_merkle(&digests(n, tag), probe);
+    }
+
+    /// Lane `l` of the eight-lane pair kernel is the scalar pair of lane
+    /// `l`'s inputs, for arbitrary digests (repeated lanes included, the
+    /// shape of a padded ragged tail).
+    #[test]
+    fn pair_lanes_match_scalar(
+        words in proptest::collection::vec(any::<[u8; 32]>(), 16..17),
+        repeat in 0usize..SHA_LANES,
+    ) {
+        let mut left: [Digest; SHA_LANES] = core::array::from_fn(|l| Digest(words[l]));
+        let right: [Digest; SHA_LANES] = core::array::from_fn(|l| Digest(words[SHA_LANES + l]));
+        left[repeat] = left[0];
+        let lanes = hash_pairs_x8(&left, &right);
+        for l in 0..SHA_LANES {
+            prop_assert_eq!(lanes[l], hash_pair(&left[l], &right[l]));
+            prop_assert_eq!(lanes[l], ref_hash_pair(&left[l], &right[l]));
+        }
+    }
+
     /// `insert_batch` sets exactly the bits the scalar loop sets (both
     /// strategies, duplicates included), and `contains_batch` /
     /// `contains_batch_with` answer every probe exactly as scalar

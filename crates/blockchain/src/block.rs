@@ -62,6 +62,8 @@ pub enum BlockError {
     },
     /// CTOR block whose transactions are not in canonical order.
     NotCanonicalOrder,
+    /// The transactions are not the ids a Merkle check accepted.
+    IdsMismatch,
 }
 
 impl core::fmt::Display for BlockError {
@@ -71,16 +73,53 @@ impl core::fmt::Display for BlockError {
                 write!(f, "merkle mismatch: header {expected} vs computed {computed}")
             }
             BlockError::NotCanonicalOrder => write!(f, "transactions violate CTOR"),
+            BlockError::IdsMismatch => write!(f, "transactions differ from the checked ids"),
         }
     }
 }
 
 impl std::error::Error for BlockError {}
 
+/// Transaction ids, in block order, that hash to a Merkle root.
+///
+/// Only [`CheckedIds::verify`] builds one, so holding a `CheckedIds` is
+/// proof that the Merkle check ran and passed. A receiver checks its
+/// reconstruction once and hands the token to [`Block::from_checked`],
+/// which then needs only an O(n) id comparison, not a second root.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckedIds {
+    root: Digest,
+    ids: Vec<TxId>,
+}
+
+impl CheckedIds {
+    /// The Merkle check: accept `ids` if, in this order, they hash to
+    /// `root`. Every block-validation path runs through here.
+    pub fn verify(ids: Vec<TxId>, root: Digest) -> Result<CheckedIds, BlockError> {
+        let computed = merkle_root(&ids);
+        if computed != root {
+            return Err(BlockError::MerkleMismatch { expected: root, computed });
+        }
+        Ok(CheckedIds { root, ids })
+    }
+
+    /// The checked ids, in block order.
+    pub fn ids(&self) -> &[TxId] {
+        &self.ids
+    }
+
+    /// Give up the token for its ids.
+    pub fn into_ids(self) -> Vec<TxId> {
+        self.ids
+    }
+}
+
 /// A block: header plus ordered transactions.
 #[derive(Clone, Debug)]
 pub struct Block {
     header: Header,
+    /// `header.id()`, derived once at construction.
+    id: Digest,
     txns: Vec<Transaction>,
     ordering: OrderingScheme,
 }
@@ -106,7 +145,11 @@ impl Block {
             bits: 0x1d00_ffff,
             nonce: 0,
         };
-        Block { header, txns, ordering }
+        Block::new(header, txns, ordering)
+    }
+
+    fn new(header: Header, txns: Vec<Transaction>, ordering: OrderingScheme) -> Block {
+        Block { id: header.id(), header, txns, ordering }
     }
 
     /// Rebuild a block from a known header and reconstructed transactions
@@ -118,11 +161,32 @@ impl Block {
         ordering: OrderingScheme,
     ) -> Result<Block, BlockError> {
         let ids: Vec<TxId> = txns.iter().map(|t| *t.id()).collect();
-        let computed = merkle_root(&ids);
-        if computed != header.merkle_root {
-            return Err(BlockError::MerkleMismatch { expected: header.merkle_root, computed });
+        let checked = CheckedIds::verify(ids, header.merkle_root)?;
+        Block::from_checked(header, txns, &checked, ordering)
+    }
+
+    /// Build a block from transactions whose ids already passed the Merkle
+    /// check against this header's root. Fails if the token checked a
+    /// different root, or if the transactions' ids differ from the checked
+    /// ids — an O(n) comparison, no hashing.
+    pub fn from_checked(
+        header: Header,
+        txns: Vec<Transaction>,
+        checked: &CheckedIds,
+        ordering: OrderingScheme,
+    ) -> Result<Block, BlockError> {
+        if checked.root != header.merkle_root {
+            return Err(BlockError::MerkleMismatch {
+                expected: header.merkle_root,
+                computed: checked.root,
+            });
         }
-        Ok(Block { header, txns, ordering })
+        if txns.len() != checked.ids.len()
+            || txns.iter().zip(&checked.ids).any(|(tx, id)| tx.id() != id)
+        {
+            return Err(BlockError::IdsMismatch);
+        }
+        Ok(Block::new(header, txns, ordering))
     }
 
     /// The header.
@@ -132,7 +196,7 @@ impl Block {
 
     /// The block ID (double-SHA256 of the serialized header).
     pub fn id(&self) -> Digest {
-        sha256d(&self.header.to_bytes())
+        self.id
     }
 
     /// Transactions in block order.
@@ -169,12 +233,8 @@ impl Block {
     /// Validate a *candidate* reconstruction: do `txns` (in the given order)
     /// hash to this block's Merkle root? This is the receiver's final check
     /// in Protocol 1 step 4 / Protocol 2 step 5.
-    pub fn validate_reconstruction(&self, ids: &[TxId]) -> Result<(), BlockError> {
-        let computed = merkle_root(ids);
-        if computed != self.header.merkle_root {
-            return Err(BlockError::MerkleMismatch { expected: self.header.merkle_root, computed });
-        }
-        Ok(())
+    pub fn validate_reconstruction(&self, ids: &[TxId]) -> Result<CheckedIds, BlockError> {
+        CheckedIds::verify(ids.to_vec(), self.header.merkle_root)
     }
 
     /// Check CTOR compliance.
@@ -189,6 +249,11 @@ impl Block {
 }
 
 impl Header {
+    /// The block ID: double-SHA256 of the 80-byte serialization.
+    pub fn id(&self) -> Digest {
+        sha256d(&self.to_bytes())
+    }
+
     /// Serialize to the 80-byte Bitcoin wire layout.
     pub fn to_bytes(&self) -> [u8; 80] {
         let mut out = [0u8; 80];
@@ -255,6 +320,44 @@ mod tests {
         let mut superset = ids.clone();
         superset.push(*Transaction::new(&b"extra"[..]).id());
         assert!(b.validate_reconstruction(&superset).is_err());
+    }
+
+    #[test]
+    fn from_checked_rejects_other_ids_or_root() {
+        let b = Block::assemble(Digest::ZERO, 1, txns(6), OrderingScheme::Ctor);
+        let checked = b.validate_reconstruction(&b.ids()).expect("own ids check");
+        let rebuilt = Block::from_checked(*b.header(), b.txns().to_vec(), &checked, b.ordering())
+            .expect("matching ids and root");
+        assert_eq!(rebuilt.id(), b.id());
+        assert_eq!(rebuilt.ids(), b.ids());
+
+        // Transactions whose ids differ from the checked ids: swapped,
+        // substituted, or one short.
+        let mut swapped = b.txns().to_vec();
+        swapped.swap(0, 1);
+        let mut substituted = b.txns().to_vec();
+        substituted[3] = Transaction::new(&b"not in the block"[..]);
+        let short = b.txns()[..5].to_vec();
+        for txs in [swapped, substituted, short] {
+            assert_eq!(
+                Block::from_checked(*b.header(), txs, &checked, b.ordering()).unwrap_err(),
+                BlockError::IdsMismatch
+            );
+        }
+
+        // A header committing to a different root than the token checked.
+        let other = Block::assemble(Digest::ZERO, 1, txns(7), OrderingScheme::Ctor);
+        assert!(matches!(
+            Block::from_checked(*other.header(), b.txns().to_vec(), &checked, b.ordering()),
+            Err(BlockError::MerkleMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn block_id_is_header_id() {
+        let b = Block::assemble(sha256d(b"prev"), 7, txns(4), OrderingScheme::Ctor);
+        assert_eq!(b.id(), b.header().id());
+        assert_eq!(b.id(), sha256d(&b.header().to_bytes()));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod mempool;
 pub mod tx;
 pub mod workload;
 
-pub use block::{Block, BlockError, Header, OrderingScheme};
+pub use block::{Block, BlockError, CheckedIds, Header, OrderingScheme};
 pub use mempool::{Mempool, PeerView};
 pub use tx::{Transaction, TxId};
 pub use workload::{IdScenario, Scenario, ScenarioParams, TxProfile};

@@ -9,7 +9,7 @@ use crate::error::P1Failure;
 use crate::ordering::{decode_order, encode_order};
 use crate::params::{optimal_a, AChoice};
 use bytes::Bytes;
-use graphene_blockchain::{Block, Mempool, OrderingScheme, PeerView, TxId};
+use graphene_blockchain::{Block, CheckedIds, Mempool, OrderingScheme, PeerView, TxId};
 use graphene_bloom::{params::theoretical_fpr, BloomFilter};
 use graphene_hashes::short_id_8;
 use graphene_iblt::Iblt;
@@ -237,6 +237,9 @@ pub struct CandidateSet {
 pub struct P1Success {
     /// The block's transaction IDs in block order (Merkle-validated).
     pub ordered_ids: Vec<TxId>,
+    /// The same ids as the Merkle check's token, from which a receiver
+    /// builds the block without hashing the root again.
+    pub checked: CheckedIds,
 }
 
 /// Attempt to decode a Graphene block against the local mempool.
@@ -363,11 +366,9 @@ pub(crate) fn finalize(
             decode_order(&ids, &msg.order_bytes).ok_or(P1Failure::MerkleMismatch)?
         }
     };
-    let root = graphene_hashes::merkle_root(&ordered);
-    if root != msg.header.merkle_root {
-        return Err(P1Failure::MerkleMismatch);
-    }
-    Ok(P1Success { ordered_ids: ordered })
+    let checked = CheckedIds::verify(ordered, msg.header.merkle_root)
+        .map_err(|_| P1Failure::MerkleMismatch)?;
+    Ok(P1Success { ordered_ids: checked.ids().to_vec(), checked })
 }
 
 /// Rebuild the pristine candidate set after a finalize failure (the decode

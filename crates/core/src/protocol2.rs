@@ -8,7 +8,7 @@ use crate::error::P2Failure;
 use crate::ordering::decode_order;
 use crate::params::{optimal_b, x_star, y_star, BChoice};
 use crate::protocol1::{CandidateSet, SALT_F, SALT_J, SALT_R};
-use graphene_blockchain::{Block, OrderingScheme, Transaction, TxId};
+use graphene_blockchain::{Block, CheckedIds, OrderingScheme, Transaction, TxId};
 use graphene_bloom::{params::theoretical_fpr, BloomFilter};
 use graphene_hashes::short_id_8;
 use graphene_iblt::{ping_pong_decode, Iblt};
@@ -159,6 +159,10 @@ pub struct P2Success {
     /// Block transaction IDs in block order, if every body is available and
     /// the Merkle root validated. `None` while `needs_fetch` is non-empty.
     pub ordered_ids: Option<Vec<TxId>>,
+    /// The same ids as the Merkle check's token (`None` exactly when
+    /// `ordered_ids` is), from which a receiver builds the block without
+    /// hashing the root again.
+    pub checked: Option<CheckedIds>,
     /// Short IDs of block transactions whose bodies the receiver still
     /// lacks: they falsely passed `R` (at most `b` of them, with
     /// β-assurance) and must be fetched in one extra round.
@@ -311,7 +315,7 @@ pub fn receiver_complete(
         .filter(|s| !by_short.contains_key(s))
         .collect();
     if !needs_fetch.is_empty() {
-        return Ok(P2Success { ordered_ids: None, needs_fetch, resolved: by_short });
+        return Ok(P2Success { ordered_ids: None, checked: None, needs_fetch, resolved: by_short });
     }
 
     finalize_p2(&by_short, header_root, order_bytes, cfg)
@@ -332,11 +336,11 @@ pub fn finalize_p2(
             decode_order(&ids, order_bytes).ok_or(P2Failure::MerkleMismatch)?
         }
     };
-    if graphene_hashes::merkle_root(&ordered) != header_root {
-        return Err(P2Failure::MerkleMismatch);
-    }
+    let checked =
+        CheckedIds::verify(ordered, header_root).map_err(|_| P2Failure::MerkleMismatch)?;
     Ok(P2Success {
-        ordered_ids: Some(ordered),
+        ordered_ids: Some(checked.ids().to_vec()),
+        checked: Some(checked),
         needs_fetch: Vec::new(),
         resolved: by_short.clone(),
     })
@@ -371,6 +375,7 @@ mod tests {
             Ok(ok) => {
                 return Ok(P2Success {
                     ordered_ids: Some(ok.ordered_ids),
+                    checked: Some(ok.checked),
                     needs_fetch: vec![],
                     resolved: HashMap::new(),
                 })

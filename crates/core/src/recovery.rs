@@ -41,9 +41,9 @@ use crate::protocol2;
 use crate::session::{
     body_bytes, full_block_round, relay_block_attempt, ByteBreakdown, FetchRound,
 };
-use graphene_blockchain::{Block, Mempool, PeerView, TxId};
+use graphene_blockchain::{Block, CheckedIds, Mempool, PeerView, TxId};
 use graphene_bloom::{BloomFilter, Membership};
-use graphene_hashes::{merkle_root, short_id_8, Digest};
+use graphene_hashes::{short_id_8, Digest};
 use graphene_iblt::rateless::{
     CellStream, DecodeProgress, RatelessDecoder, RatelessDiff, MAX_CELLS_PER_BATCH,
 };
@@ -522,9 +522,9 @@ fn shortid_rung(
     }
 
     let ids: Option<Vec<TxId>> = ordered.into_iter().collect();
-    let validated = ids.filter(|ids| merkle_root(ids) == block.header().merkle_root);
+    let validated = ids.and_then(|ids| CheckedIds::verify(ids, block.header().merkle_root).ok());
     report.success = validated.is_some();
-    validated
+    validated.map(CheckedIds::into_ids)
 }
 
 #[cfg(test)]

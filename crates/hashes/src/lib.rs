@@ -9,8 +9,9 @@
 //! * [`siphash`] — SipHash-2-4, the keyed short-input PRF used by Compact
 //!   Blocks (BIP152) and XThin to derive per-connection short transaction IDs
 //!   that an attacker cannot grind collisions for (paper §6.1).
-//! * [`merkle`] — Bitcoin-style Merkle trees; Graphene receivers validate a
-//!   decoded block against the Merkle root in the header (paper §3.1 step 4).
+//! * [`merkle`] — Bitcoin-style Merkle trees, each level hashed
+//!   [`SHA_LANES`] nodes at a time; Graphene receivers validate a decoded
+//!   block against the Merkle root in the header (paper §3.1 step 4).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
 //!
 //! The types here deliberately avoid any allocation in hot paths: hashing is
@@ -26,7 +27,7 @@ pub mod sha256;
 pub mod siphash;
 
 pub use merkle::{merkle_root, MerkleProof, MerkleTree};
-pub use sha256::{sha256, sha256d, Digest, Sha256};
+pub use sha256::{sha256, sha256d, Digest, Sha256, SHA_LANES};
 pub use siphash::{siphash24, siphash24_x4, siphash24_x4_u64, SipHasher24, SipKey, SIP_LANES};
 
 /// Derive the 8-byte "short ID" used inside IBLT cells and XThin ID lists.

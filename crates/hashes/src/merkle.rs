@@ -10,39 +10,81 @@
 //! internal node is `sha256d(left || right)`, and a level with an odd number
 //! of nodes duplicates its last node.
 
-use crate::sha256::{sha256d, Digest};
+use crate::sha256::{digest_words, sha256d_64, sha256d_64_x8, words_digest, Digest, SHA_LANES};
 
 /// Compute the Merkle root of a list of txids.
 ///
 /// Returns [`Digest::ZERO`] for an empty list (a real block always has at
 /// least the coinbase transaction, so this case is a sentinel only).
 pub fn merkle_root(txids: &[Digest]) -> Digest {
-    if txids.is_empty() {
-        return Digest::ZERO;
+    match txids {
+        [] => Digest::ZERO,
+        [only] => *only,
+        _ => {
+            let mut level = next_level(txids);
+            while level.len() > 1 {
+                level = next_level(&level);
+            }
+            level[0]
+        }
     }
-    let mut level: Vec<Digest> = txids.to_vec();
-    while level.len() > 1 {
-        level = next_level(&level);
-    }
-    level[0]
 }
 
+/// Pairs at which a chunk goes through the lanes instead of the scalar
+/// pair. One lane batch costs about 1.4 scalar pairs on an AVX-512 host,
+/// so only a lone pair is cheaper alone.
+const LANE_MIN_PAIRS: usize = 2;
+
+/// The parent level of `level` (one node per pair; an odd level pairs its
+/// last node with itself). Full chunks of [`SHA_LANES`] pairs go through
+/// [`hash_pairs_x8`]; a ragged tail of at least [`LANE_MIN_PAIRS`] pairs
+/// does too, its spare lanes repeating the last pair, and a shorter tail
+/// takes [`hash_pair`].
 fn next_level(level: &[Digest]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(level.len().div_ceil(2));
-    for pair in level.chunks(2) {
-        let left = pair[0];
-        // Odd level: Bitcoin duplicates the last hash.
-        let right = *pair.get(1).unwrap_or(&pair[0]);
-        out.push(hash_pair(&left, &right));
+    let pairs = level.len().div_ceil(2);
+    let left = |i: usize| &level[2 * i];
+    // Odd level: Bitcoin duplicates the last hash.
+    let right = |i: usize| level.get(2 * i + 1).unwrap_or(&level[2 * i]);
+    let mut out = Vec::with_capacity(pairs);
+    let mut i = 0;
+    while i < pairs {
+        let live = (pairs - i).min(SHA_LANES);
+        if live >= LANE_MIN_PAIRS {
+            let pick = |l: usize| i + l.min(live - 1);
+            let roots = hash_pairs_x8(
+                &core::array::from_fn(|l| *left(pick(l))),
+                &core::array::from_fn(|l| *right(pick(l))),
+            );
+            out.extend_from_slice(&roots[..live]);
+        } else {
+            out.extend((i..i + live).map(|p| hash_pair(left(p), right(p))));
+        }
+        i += live;
     }
     out
 }
 
-fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut buf = [0u8; 64];
-    buf[..32].copy_from_slice(left.as_ref());
-    buf[32..].copy_from_slice(right.as_ref());
-    sha256d(&buf)
+/// One Merkle node: `sha256d(left ‖ right)`.
+pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
+    let mut block = [0u32; 16];
+    block[..8].copy_from_slice(&digest_words(left));
+    block[8..].copy_from_slice(&digest_words(right));
+    words_digest(&sha256d_64(&block))
+}
+
+/// [`SHA_LANES`] Merkle nodes at once: lane `l` of the result equals
+/// [`hash_pair`]`(&left[l], &right[l])`, bit for bit — the lanes run the
+/// same arithmetic interleaved.
+pub fn hash_pairs_x8(
+    left: &[Digest; SHA_LANES],
+    right: &[Digest; SHA_LANES],
+) -> [Digest; SHA_LANES] {
+    let (lw, rw) = (left.map(|d| digest_words(&d)), right.map(|d| digest_words(&d)));
+    let blocks = core::array::from_fn(|w| {
+        core::array::from_fn(|l| if w < 8 { lw[l][w] } else { rw[l][w - 8] })
+    });
+    let roots = sha256d_64_x8(&blocks);
+    core::array::from_fn(|l| words_digest(&core::array::from_fn(|w| roots[w][l])))
 }
 
 /// A full Merkle tree retaining every level, supporting inclusion proofs.
@@ -50,7 +92,8 @@ fn hash_pair(left: &Digest, right: &Digest) -> Digest {
 /// The experiment harness uses proofs to sanity-check partial decodings; a
 /// production relay only needs [`merkle_root`].
 pub struct MerkleTree {
-    /// `levels[0]` is the leaf level; the last level has exactly one node.
+    /// `levels[0]` is the leaf level; the last level has exactly one node,
+    /// or none for a leafless tree.
     levels: Vec<Vec<Digest>>,
 }
 
@@ -64,11 +107,9 @@ pub struct MerkleProof {
 }
 
 impl MerkleTree {
-    /// Build the tree from leaf txids. Empty input yields a zero-root tree.
+    /// Build the tree from leaf txids. Empty input yields a leafless tree
+    /// whose root is [`Digest::ZERO`], as [`merkle_root`] returns.
     pub fn new(txids: &[Digest]) -> Self {
-        if txids.is_empty() {
-            return MerkleTree { levels: vec![vec![Digest::ZERO]] };
-        }
         let mut levels = vec![txids.to_vec()];
         while levels.last().expect("non-empty").len() > 1 {
             let next = next_level(levels.last().expect("non-empty"));
@@ -79,7 +120,7 @@ impl MerkleTree {
 
     /// The root hash.
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("at least one level")[0]
+        self.levels.last().expect("at least one level").first().copied().unwrap_or(Digest::ZERO)
     }
 
     /// Number of leaves.
@@ -89,7 +130,7 @@ impl MerkleTree {
 
     /// True if the tree was built from an empty list.
     pub fn is_empty(&self) -> bool {
-        self.levels.len() == 1 && self.levels[0][0] == Digest::ZERO
+        self.levels[0].is_empty()
     }
 
     /// Produce an inclusion proof for leaf `index`, or `None` if out of range.
@@ -145,7 +186,32 @@ mod tests {
     #[test]
     fn empty_root_is_zero() {
         assert_eq!(merkle_root(&[]), Digest::ZERO);
-        assert!(MerkleTree::new(&[]).is_empty());
+        let tree = MerkleTree::new(&[]);
+        assert!(tree.is_empty());
+        assert_eq!(tree.len(), 0);
+        assert_eq!(tree.root(), Digest::ZERO);
+        assert!(tree.prove(0).is_none());
+    }
+
+    #[test]
+    fn zero_digest_leaf_is_not_empty() {
+        // A leaf that happens to equal the empty-tree sentinel is a leaf.
+        let tree = MerkleTree::new(&[Digest::ZERO]);
+        assert!(!tree.is_empty());
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.root(), Digest::ZERO);
+        assert!(tree.prove(0).expect("one leaf").verify(&Digest::ZERO, &Digest::ZERO));
+    }
+
+    #[test]
+    fn lanes_match_scalar_pairs() {
+        let l = leaves(2 * SHA_LANES);
+        let left: [Digest; SHA_LANES] = core::array::from_fn(|i| l[i]);
+        let right: [Digest; SHA_LANES] = core::array::from_fn(|i| l[SHA_LANES + i]);
+        let lanes = hash_pairs_x8(&left, &right);
+        for i in 0..SHA_LANES {
+            assert_eq!(lanes[i], hash_pair(&left[i], &right[i]), "lane {i}");
+        }
     }
 
     #[test]

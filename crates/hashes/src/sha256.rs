@@ -1,8 +1,10 @@
 //! SHA-256 (FIPS 180-4), implemented from the specification.
 //!
-//! The implementation is a straightforward, allocation-free compression
-//! function with a streaming wrapper. It is validated against the NIST test
-//! vectors in the unit tests below, including the one-million-`a` vector.
+//! The compression is a free function over sixteen message words, with a
+//! streaming byte wrapper on top and an eight-lane interleaved copy for
+//! Merkle nodes (see [`SHA_LANES`]). Everything is allocation-free and
+//! validated against the NIST test vectors in the unit tests below,
+//! including the one-million-`a` vector.
 
 use core::fmt;
 
@@ -73,6 +75,195 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Lane count of the interleaved compression behind
+/// [`hash_pairs_x8`](crate::merkle::hash_pairs_x8).
+///
+/// Eight 32-bit lanes fill one 256-bit vector per working variable, and
+/// eight independent dependency chains cover a round's latency even where
+/// the compiler keeps the lanes scalar. The Merkle level builder chunks
+/// its pairs by this constant and pads a ragged tail by repeating a lane.
+pub const SHA_LANES: usize = 8;
+
+/// Expand 16 message words into the 64-word schedule (FIPS 180-4 §6.2.2
+/// step 1). `const` so that constant blocks are expanded at compile time.
+const fn schedule(block: &[u32; 16]) -> [u32; 64] {
+    let mut w = [0u32; 64];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = block[i];
+        i += 1;
+    }
+    while i < 64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        i += 1;
+    }
+    w
+}
+
+/// The 64 rounds over an expanded schedule, folded into `state`.
+#[inline(always)]
+fn rounds(state: &mut [u32; 8], w: &[u32; 64]) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// One SHA-256 compression of a 16-word (big-endian decoded) block.
+#[inline]
+fn compress(state: &mut [u32; 8], block: &[u32; 16]) {
+    rounds(state, &schedule(block));
+}
+
+/// [`compress`] over a 64-byte block.
+fn compress_bytes(state: &mut [u32; 8], block: &[u8; 64]) {
+    let words = core::array::from_fn(|i| {
+        u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4-byte word"))
+    });
+    compress(state, &words);
+}
+
+/// The padding block of every 64-byte message: `0x80`, zeros, and the
+/// bit length 512. Its schedule is a constant, so hashing a Merkle node's
+/// second block costs the rounds alone.
+const PAD64: [u32; 64] = schedule(&{
+    let mut b = [0u32; 16];
+    b[0] = 0x8000_0000;
+    b[15] = 512;
+    b
+});
+
+/// The single block of a 32-byte message (an inner digest): its eight
+/// words, `0x80`, zeros, and the bit length 256.
+fn digest_block(words: &[u32; 8]) -> [u32; 16] {
+    let mut b = [0u32; 16];
+    b[..8].copy_from_slice(words);
+    b[8] = 0x8000_0000;
+    b[15] = 256;
+    b
+}
+
+/// A digest's bytes as eight big-endian words.
+#[inline]
+pub(crate) fn digest_words(d: &Digest) -> [u32; 8] {
+    core::array::from_fn(|i| u32::from_be_bytes(d.0[4 * i..4 * i + 4].try_into().expect("4 bytes")))
+}
+
+/// Eight state words as a digest.
+#[inline]
+pub(crate) fn words_digest(words: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(words) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// `sha256d` of one 64-byte message given as 16 big-endian words — a
+/// Merkle node, `sha256d(left ‖ right)`. Three compressions: the message
+/// block, the constant padding block, and the inner digest's block.
+pub(crate) fn sha256d_64(block: &[u32; 16]) -> [u32; 8] {
+    let mut inner = H0;
+    compress(&mut inner, block);
+    rounds(&mut inner, &PAD64);
+    let mut outer = H0;
+    compress(&mut outer, &digest_block(&inner));
+    outer
+}
+
+/// Eight lanes of 32-bit words: `[word][lane]`.
+type Lanes<const N: usize> = [[u32; SHA_LANES]; N];
+
+/// [`schedule`] across all lanes.
+#[inline(always)]
+fn schedule_x8(block: &Lanes<16>) -> Lanes<64> {
+    let mut w = [[0u32; SHA_LANES]; 64];
+    w[..16].copy_from_slice(block);
+    for i in 16..64 {
+        let (w16, w15, w7, w2) = (w[i - 16], w[i - 15], w[i - 7], w[i - 2]);
+        for (l, wi) in w[i].iter_mut().enumerate() {
+            let s0 = w15[l].rotate_right(7) ^ w15[l].rotate_right(18) ^ (w15[l] >> 3);
+            let s1 = w2[l].rotate_right(17) ^ w2[l].rotate_right(19) ^ (w2[l] >> 10);
+            *wi = w16[l].wrapping_add(s0).wrapping_add(w7[l]).wrapping_add(s1);
+        }
+    }
+    w
+}
+
+/// [`rounds`] across all lanes. Each lane is an independent dependency
+/// chain written as plain elementwise arithmetic, so the compiler may map
+/// a working variable onto one vector register — no `unsafe`, no
+/// intrinsics. `w` yields lane `l`'s schedule word `i` as `w(i)[l]`.
+#[inline(always)]
+fn rounds_x8(state: &mut Lanes<8>, w: impl Fn(usize) -> [u32; SHA_LANES]) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (i, k) in K.iter().enumerate() {
+        let wi = w(i);
+        let mut t1 = [0u32; SHA_LANES];
+        let mut t2 = [0u32; SHA_LANES];
+        for l in 0..SHA_LANES {
+            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
+            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
+            t1[l] = h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(*k).wrapping_add(wi[l]);
+            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
+            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
+            t2[l] = s0.wrapping_add(maj);
+        }
+        h = g;
+        g = f;
+        f = e;
+        for l in 0..SHA_LANES {
+            e[l] = d[l].wrapping_add(t1[l]);
+        }
+        d = c;
+        c = b;
+        b = a;
+        for l in 0..SHA_LANES {
+            a[l] = t1[l].wrapping_add(t2[l]);
+        }
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for l in 0..SHA_LANES {
+            s[l] = s[l].wrapping_add(v[l]);
+        }
+    }
+}
+
+/// [`sha256d_64`] on eight messages at once: lane `l` of the result is
+/// `sha256d_64` of lane `l` of `blocks`, bit for bit.
+pub(crate) fn sha256d_64_x8(blocks: &Lanes<16>) -> Lanes<8> {
+    let mut inner = H0.map(|h| [h; SHA_LANES]);
+    let w = schedule_x8(blocks);
+    rounds_x8(&mut inner, |i| w[i]);
+    rounds_x8(&mut inner, |i| [PAD64[i]; SHA_LANES]);
+    let mut outer = H0.map(|h| [h; SHA_LANES]);
+    let mut block = [[0u32; SHA_LANES]; 16];
+    block[..8].copy_from_slice(&inner);
+    block[8] = [0x8000_0000; SHA_LANES];
+    block[15] = [256; SHA_LANES];
+    let w = schedule_x8(&block);
+    rounds_x8(&mut outer, |i| w[i]);
+    outer
+}
+
 /// Streaming SHA-256 hasher.
 ///
 /// ```
@@ -91,6 +282,7 @@ pub struct Sha256 {
     /// Total message length in bytes.
     len: u64,
     buf: [u8; 64],
+    /// Bytes pending in `buf`; always below 64 between calls.
     buf_len: usize,
 }
 
@@ -117,15 +309,14 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress_bytes(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         // Whole blocks straight from the input.
         while data.len() >= 64 {
             let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
+            compress_bytes(&mut self.state, block.try_into().expect("64-byte block"));
             data = rest;
         }
         // Stash the tail.
@@ -138,62 +329,17 @@ impl Sha256 {
     /// Complete the hash and return the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
-            // `update` wraps around after a compress; loop until the buffer
-            // sits exactly at the length-field offset.
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length —
+        // spilling into a second block when the length field does not fit.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress_bytes(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // Write the length directly; `update` would double-count it.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_bytes(&mut self.state, &self.buf);
+        words_digest(&self.state)
     }
 }
 
@@ -206,7 +352,9 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 /// Double SHA-256 (`SHA256(SHA256(data))`), the Bitcoin txid/block-id hash.
 pub fn sha256d(data: &[u8]) -> Digest {
-    sha256(sha256(data).as_ref())
+    let mut outer = H0;
+    compress(&mut outer, &digest_block(&digest_words(&sha256(data))));
+    words_digest(&outer)
 }
 
 #[cfg(test)]

@@ -428,17 +428,18 @@ impl Network {
                         self.schedule(ready, Event::Drain { peer });
                         continue;
                     }
-                    let Some((from, msg, bytes)) = self.arena.peer_mut(peer).dequeue() else {
+                    let Some(frame) = self.arena.peer_mut(peer).dequeue() else {
                         continue; // mirror said non-empty, trust the source
                     };
                     self.arena.sync_inbox_depth(peer);
-                    let busy = at + self.arena.peer(peer).limits.proc_time(bytes);
+                    let busy = at + self.arena.peer(peer).limits.proc_time(frame.bytes);
                     self.arena.set_busy_until(peer, busy);
                     // The peer reads the clock for RTT samples and breaker
                     // cool-downs; set it to this frame's processing instant.
                     self.arena.peer_mut(peer).set_clock(at);
                     // Disjoint-field borrow: no per-frame adjacency clone.
-                    let out = self.arena.peer_mut(peer).handle(from, msg, &self.adjacency[peer.0]);
+                    let out =
+                        self.arena.peer_mut(peer).handle_inbound(frame, &self.adjacency[peer.0]);
                     self.apply_output(peer, out);
                 }
                 Event::Timeout { peer, block_id, attempt, gen } => {

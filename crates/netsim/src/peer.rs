@@ -69,7 +69,7 @@ use graphene::recovery::{
 };
 use graphene::session::block_txns_by_short_id;
 use graphene::NodeSnapshot;
-use graphene_blockchain::{Block, Header, Mempool, OrderingScheme, Transaction, TxId};
+use graphene_blockchain::{Block, CheckedIds, Header, Mempool, OrderingScheme, Transaction, TxId};
 use graphene_hashes::{sha256, short_id_6, short_id_8, Digest, SipKey};
 use graphene_iblt::rateless::{
     DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
@@ -245,6 +245,41 @@ enum FrameClass {
     ActiveRecovery,
     /// Everything else (requests we serve, unsolicited payloads).
     Other,
+}
+
+/// Block-ordered transaction ids handed to `Peer::complete_block`.
+enum OrderedIds {
+    /// Graphene's ids, already Merkle-checked by the decode that produced
+    /// them.
+    Checked(CheckedIds),
+    /// Compact Blocks / XThin ids, not yet checked.
+    Unchecked(Vec<TxId>),
+}
+
+impl From<CheckedIds> for OrderedIds {
+    fn from(checked: CheckedIds) -> Self {
+        OrderedIds::Checked(checked)
+    }
+}
+
+impl From<Vec<TxId>> for OrderedIds {
+    fn from(ids: Vec<TxId>) -> Self {
+        OrderedIds::Unchecked(ids)
+    }
+}
+
+/// A frame in a peer's bounded inbound queue.
+#[derive(Debug)]
+pub struct Inbound {
+    /// Sending peer.
+    pub from: PeerId,
+    /// The decoded message.
+    pub msg: Message,
+    /// Its size on the wire.
+    pub bytes: usize,
+    /// The block the frame concerns ([`frame_block_id`]), derived once on
+    /// arrival for load shedding, RTT pairing and the handler alike.
+    block_id: Option<Digest>,
 }
 
 /// Peer identifier (index into the network's peer table).
@@ -499,8 +534,8 @@ pub struct Peer {
     hedges: HedgeCounters,
     /// Block-announcement fan-out policy (flood = the seed behavior).
     fanout: FanoutPolicy,
-    /// Bounded inbound frame queue: (sender, decoded message, frame bytes).
-    inbox: VecDeque<(PeerId, Message, usize)>,
+    /// Bounded inbound frame queue.
+    inbox: VecDeque<Inbound>,
     /// Bytes currently queued in `inbox`.
     inbox_bytes: u64,
     /// Lifetime count of shed inbound frames.
@@ -767,16 +802,21 @@ impl Peer {
 
     // --- Bounded inbound queue --------------------------------------------
 
-    /// Load-shedding class of `msg` given this peer's open sessions.
-    fn classify(&self, msg: &Message) -> FrameClass {
-        match msg {
+    /// Load-shedding class of a queued frame given this peer's open
+    /// sessions.
+    fn classify(&self, frame: &Inbound) -> FrameClass {
+        match frame.msg {
             Message::Inv(_) | Message::TxInv(_) => FrameClass::Announcement,
-            Message::GrapheneBlock(m) => self.recovery_class(&m.header),
-            Message::CmpctBlock(m) => self.recovery_class(&m.header),
-            Message::XthinBlock(m) => self.recovery_class(&m.header),
-            Message::FullBlock(m) => self.recovery_class(&m.header),
-            Message::GrapheneRecovery(m) => self.recovery_class_id(&m.block_id),
-            Message::BlockTxn(m) => self.recovery_class_id(&m.block_id),
+            Message::GrapheneBlock(_)
+            | Message::CmpctBlock(_)
+            | Message::XthinBlock(_)
+            | Message::FullBlock(_)
+            | Message::GrapheneRecovery(_)
+            | Message::BlockTxn(_)
+                if frame.block_id.is_some_and(|id| self.sessions.contains_key(&id)) =>
+            {
+                FrameClass::ActiveRecovery
+            }
             // Cell windows are droppable by design: the stream is
             // deterministic and the session's timer re-requests the same
             // window, so under pressure they shed with the announcements
@@ -786,25 +826,14 @@ impl Peer {
         }
     }
 
-    fn recovery_class(&self, header: &Header) -> FrameClass {
-        self.recovery_class_id(&graphene_hashes::sha256d(&header.to_bytes()))
-    }
-
-    fn recovery_class_id(&self, block_id: &Digest) -> FrameClass {
-        if self.sessions.contains_key(block_id) {
-            FrameClass::ActiveRecovery
-        } else {
-            FrameClass::Other
-        }
-    }
-
     /// Append a decoded frame to the bounded inbound queue, shedding under
     /// pressure: oldest announcement-class frames first, then oldest
     /// `Other` frames; an active session's recovery frames are never shed.
     /// Returns the number of frames shed (for metrics).
     pub fn enqueue(&mut self, from: PeerId, msg: Message, bytes: usize) -> u64 {
         let mut shed = 0u64;
-        self.inbox.push_back((from, msg, bytes));
+        let block_id = frame_block_id(&msg);
+        self.inbox.push_back(Inbound { from, msg, bytes, block_id });
         self.inbox_bytes += bytes as u64;
         while self.inbox.len() > self.limits.max_queue_frames
             || self.inbox_bytes > self.limits.max_queue_bytes
@@ -812,23 +841,21 @@ impl Peer {
             let victim = self
                 .inbox
                 .iter()
-                .position(|(_, m, _)| self.classify(m) == FrameClass::Announcement)
-                .or_else(|| {
-                    self.inbox.iter().position(|(_, m, _)| self.classify(m) == FrameClass::Other)
-                });
+                .position(|f| self.classify(f) == FrameClass::Announcement)
+                .or_else(|| self.inbox.iter().position(|f| self.classify(f) == FrameClass::Other));
             let Some(idx) = victim else {
                 // Everything queued (including the newcomer) is protected
                 // recovery traffic; the caps are sized so an honest load
                 // never gets here, but a hard cap must hold regardless —
                 // drop the newest arrival.
-                if let Some((_, _, b)) = self.inbox.pop_back() {
-                    self.inbox_bytes -= b as u64;
+                if let Some(f) = self.inbox.pop_back() {
+                    self.inbox_bytes -= f.bytes as u64;
                     shed += 1;
                 }
                 break;
             };
-            if let Some((_, _, b)) = self.inbox.remove(idx) {
-                self.inbox_bytes -= b as u64;
+            if let Some(f) = self.inbox.remove(idx) {
+                self.inbox_bytes -= f.bytes as u64;
                 shed += 1;
             }
         }
@@ -837,11 +864,12 @@ impl Peer {
         shed
     }
 
-    /// Pop the oldest queued frame for processing.
-    pub fn dequeue(&mut self) -> Option<(PeerId, Message, usize)> {
-        let (from, msg, bytes) = self.inbox.pop_front()?;
-        self.inbox_bytes -= bytes as u64;
-        Some((from, msg, bytes))
+    /// Pop the oldest queued frame for processing
+    /// ([`handle_inbound`](Self::handle_inbound)).
+    pub fn dequeue(&mut self) -> Option<Inbound> {
+        let frame = self.inbox.pop_front()?;
+        self.inbox_bytes -= frame.bytes as u64;
+        Some(frame)
     }
 
     /// Frames currently queued.
@@ -1040,6 +1068,23 @@ impl Peer {
 
     /// Handle one delivered message.
     pub fn handle(&mut self, from: PeerId, msg: Message, neighbors: &[PeerId]) -> Output {
+        let block_id = frame_block_id(&msg);
+        self.dispatch(from, msg, block_id, neighbors)
+    }
+
+    /// Handle a frame taken from the inbound queue.
+    pub fn handle_inbound(&mut self, frame: Inbound, neighbors: &[PeerId]) -> Output {
+        self.dispatch(frame.from, frame.msg, frame.block_id, neighbors)
+    }
+
+    /// [`handle`](Self::handle) with the frame's block id already derived.
+    fn dispatch(
+        &mut self,
+        from: PeerId,
+        msg: Message,
+        block_id: Option<Digest>,
+        neighbors: &[PeerId],
+    ) -> Output {
         if self.banned.contains(&from) {
             return Output::none();
         }
@@ -1050,24 +1095,41 @@ impl Peer {
             // checks keep corruption from forging one.
             return self.punish(from, MALFORMED_SCORE);
         }
-        self.observe_response(from, &msg);
+        if is_response(&msg) {
+            self.observe_response(from, block_id);
+        }
+        // `frame_block_id` names every header-carrying frame; the fallback
+        // only keeps this total.
+        let header_id = |header: &Header| block_id.unwrap_or_else(|| header.id());
         let out = match msg {
             Message::Inv(m) => self.on_inv(from, m),
             Message::GetData(m) => self.on_getdata(from, m),
-            Message::GrapheneBlock(m) => self.on_graphene_block(from, m, neighbors),
+            Message::GrapheneBlock(m) => {
+                let id = header_id(&m.header);
+                self.on_graphene_block(from, m, id, neighbors)
+            }
             Message::GrapheneRequest(m) => self.on_graphene_request(from, m),
             Message::GrapheneRecovery(m) => self.on_graphene_recovery(from, m, neighbors),
             Message::GetGrapheneTxn(m) => self.on_get_graphene_txn(from, m),
             Message::GetGrapheneRetry(m) => self.on_get_graphene_retry(from, m),
             Message::RatelessCells(m) => self.on_rateless_cells(from, m, neighbors),
             Message::GetMoreCells(m) => self.on_get_more_cells(from, m),
-            Message::CmpctBlock(m) => self.on_cmpct_block(from, m, neighbors),
+            Message::CmpctBlock(m) => {
+                let id = header_id(&m.header);
+                self.on_cmpct_block(from, m, id, neighbors)
+            }
             Message::GetBlockTxn(m) => self.on_get_block_txn(from, m),
             Message::BlockTxn(m) => self.on_block_txn(from, m, neighbors),
             Message::XthinGetData(m) => self.on_xthin_getdata(from, m),
-            Message::XthinBlock(m) => self.on_xthin_block(from, m, neighbors),
+            Message::XthinBlock(m) => {
+                let id = header_id(&m.header);
+                self.on_xthin_block(from, m, id, neighbors)
+            }
             Message::GetFullBlock(m) => self.on_get_full_block(from, m),
-            Message::FullBlock(m) => self.on_full_block(from, m, neighbors),
+            Message::FullBlock(m) => {
+                let id = header_id(&m.header);
+                self.on_full_block(from, m, id, neighbors)
+            }
             Message::TxInv(m) => self.on_tx_inv(from, m),
             Message::GetTxns(m) => self.on_get_txns(from, m),
             Message::Txns(m) => self.on_txns(m, neighbors),
@@ -1080,7 +1142,7 @@ impl Peer {
 
     // --- Adaptive failure detection ---------------------------------------
     // (block-id classifiers for the request/response pairing live at the
-    // bottom of this file: `request_block_id` / `response_block_id`.)
+    // bottom of this file: `request_block_id` / `is_response`.)
 
     /// If `msg` answers a stamped in-flight request, fold the measured
     /// round trip into the RTT table and close `from`'s breaker circuit.
@@ -1088,11 +1150,11 @@ impl Peer {
     /// the stamp on timeout, so a reply that arrives *after* its timer
     /// fired matches nothing — it neither pollutes the RTT estimate with
     /// a retransmission-ambiguous sample nor resets the failure streak.
-    fn observe_response(&mut self, from: PeerId, msg: &Message) {
+    fn observe_response(&mut self, from: PeerId, block_id: Option<Digest>) {
         if !self.adaptive {
             return;
         }
-        let Some(block_id) = response_block_id(msg) else {
+        let Some(block_id) = block_id else {
             return;
         };
         if let Some(t0) = self.req_sent.remove(&(block_id, from)) {
@@ -1647,9 +1709,9 @@ impl Peer {
         &mut self,
         from: PeerId,
         m: graphene_wire::messages::GrapheneBlockMsg,
+        block_id: Digest,
         neighbors: &[PeerId],
     ) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
         let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
             return Output::none();
         };
@@ -1665,7 +1727,7 @@ impl Peer {
             }
         }
         match protocol1::receiver_decode(&m, &self.mempool, &cfg) {
-            Ok(ok) => self.complete_block(block_id, m.header, ok.ordered_ids, neighbors),
+            Ok(ok) => self.complete_block(block_id, m.header, ok.checked.into(), neighbors),
             Err((why, state)) => {
                 if matches!(why, P1Failure::Malformed(_)) {
                     // §6.1: a provably hostile IBLT — ban and fail over.
@@ -1787,10 +1849,10 @@ impl Peer {
         match protocol2::receiver_complete(state, &m, header.merkle_root, &order_bytes, &cfg) {
             Ok(ok) => {
                 if ok.needs_fetch.is_empty() {
-                    let Some(ids) = ok.ordered_ids else {
+                    let Some(checked) = ok.checked else {
                         return self.escalate(block_id, RungFailure::Failed);
                     };
-                    self.complete_block(block_id, header, ids, neighbors)
+                    self.complete_block(block_id, header, checked.into(), neighbors)
                 } else {
                     session.bump_epoch();
                     let attempt = session.attempt;
@@ -1892,7 +1954,7 @@ impl Peer {
             FallThrough(RungFailure),
             Request { from_index: u64, count: u32, epoch: u32 },
             Fetch { needs: Vec<u64>, epoch: u32 },
-            Done { ids: Vec<TxId>, header: Header },
+            Done { checked: CheckedIds, header: Header },
         }
         let policy = self.recovery;
         let step = {
@@ -1947,9 +2009,9 @@ impl Peer {
                                 &order_bytes,
                                 &cfg,
                             )
-                            .map(|ok| ok.ordered_ids)
+                            .map(|ok| ok.checked)
                             {
-                                Ok(Some(ids)) => Step::Done { ids, header },
+                                Ok(Some(checked)) => Step::Done { checked, header },
                                 // Decoded but would not finalize: the
                                 // stream cannot do better.
                                 _ => Step::FallThrough(RungFailure::Abandoned),
@@ -1986,14 +2048,21 @@ impl Peer {
                 out.timers.push((block_id, epoch));
                 out
             }
-            Step::Done { ids, header } => self.complete_block(block_id, header, ids, neighbors),
+            Step::Done { checked, header } => {
+                self.complete_block(block_id, header, checked.into(), neighbors)
+            }
         }
     }
 
     // --- Compact Blocks ----------------------------------------------------
 
-    fn on_cmpct_block(&mut self, from: PeerId, m: CmpctBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
+    fn on_cmpct_block(
+        &mut self,
+        from: PeerId,
+        m: CmpctBlockMsg,
+        block_id: Digest,
+        neighbors: &[PeerId],
+    ) -> Output {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
@@ -2032,7 +2101,7 @@ impl Peer {
         if missing.is_empty() {
             let ids: Vec<TxId> = slots.into_iter().flatten().collect();
             if ids.len() == total {
-                return self.complete_block(block_id, m.header, ids, neighbors);
+                return self.complete_block(block_id, m.header, ids.into(), neighbors);
             }
             return Output::none();
         }
@@ -2079,7 +2148,7 @@ impl Peer {
                 }
                 let ids: Vec<TxId> = slots.iter().copied().flatten().collect();
                 if ids.len() == slots.len() {
-                    self.complete_block(block_id, header, ids, neighbors)
+                    self.complete_block(block_id, header, ids.into(), neighbors)
                 } else {
                     Output::none()
                 }
@@ -2093,7 +2162,7 @@ impl Peer {
                     ids[i as usize] = *tx.id();
                 }
                 let ids = ids.clone();
-                self.complete_block(block_id, header, ids, neighbors)
+                self.complete_block(block_id, header, ids.into(), neighbors)
             }
             RxPhase::GrapheneFetch { resolved, header, order_bytes } => {
                 let header = *header;
@@ -2106,8 +2175,10 @@ impl Peer {
                 };
                 let resolved = resolved.clone();
                 match protocol2::finalize_p2(&resolved, header.merkle_root, &order_bytes, &cfg) {
-                    Ok(ok) => match ok.ordered_ids {
-                        Some(ids) => self.complete_block(block_id, header, ids, neighbors),
+                    Ok(ok) => match ok.checked {
+                        Some(checked) => {
+                            self.complete_block(block_id, header, checked.into(), neighbors)
+                        }
                         None => {
                             needs_escalate = true;
                             Output::none()
@@ -2154,8 +2225,13 @@ impl Peer {
         out
     }
 
-    fn on_xthin_block(&mut self, from: PeerId, m: XthinBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
+    fn on_xthin_block(
+        &mut self,
+        from: PeerId,
+        m: XthinBlockMsg,
+        block_id: Digest,
+        neighbors: &[PeerId],
+    ) -> Output {
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
@@ -2186,7 +2262,7 @@ impl Peer {
             }
         }
         if unresolved.is_empty() {
-            return self.complete_block(block_id, m.header, ids, neighbors);
+            return self.complete_block(block_id, m.header, ids.into(), neighbors);
         }
         session.bump_epoch();
         let attempt = session.attempt;
@@ -2210,8 +2286,13 @@ impl Peer {
         out
     }
 
-    fn on_full_block(&mut self, from: PeerId, m: FullBlockMsg, neighbors: &[PeerId]) -> Output {
-        let block_id = graphene_hashes::sha256d(&m.header.to_bytes());
+    fn on_full_block(
+        &mut self,
+        from: PeerId,
+        m: FullBlockMsg,
+        block_id: Digest,
+        neighbors: &[PeerId],
+    ) -> Output {
         if self.blocks.contains_key(&block_id) {
             return Output::none();
         }
@@ -2234,19 +2315,25 @@ impl Peer {
     // --- Completion -----------------------------------------------------------
 
     /// Assemble a reconstructed block from ordered IDs, bodies coming from
-    /// the mempool and the session's collected transactions.
+    /// the mempool and the session's collected transactions. Graphene ids
+    /// arrive Merkle-checked and only need to match the bodies; Compact
+    /// and XThin ids are checked against the root here.
     fn complete_block(
         &mut self,
         block_id: Digest,
         header: Header,
-        ordered_ids: Vec<TxId>,
+        ordered: OrderedIds,
         neighbors: &[PeerId],
     ) -> Output {
         let Some(session) = self.sessions.get(&block_id) else {
             return Output::none();
         };
-        let mut txns = Vec::with_capacity(ordered_ids.len());
-        for id in &ordered_ids {
+        let ids = match &ordered {
+            OrderedIds::Checked(checked) => checked.ids(),
+            OrderedIds::Unchecked(ids) => ids,
+        };
+        let mut txns = Vec::with_capacity(ids.len());
+        for id in ids {
             if let Some(tx) = self.mempool.get(id) {
                 txns.push(tx.clone());
             } else if let Some(tx) = session.bodies.get(id) {
@@ -2255,7 +2342,13 @@ impl Peer {
                 return Output::none(); // body unavailable; let the timer fire
             }
         }
-        match Block::from_parts(header, txns, OrderingScheme::Ctor) {
+        let block = match &ordered {
+            OrderedIds::Checked(checked) => {
+                Block::from_checked(header, txns, checked, OrderingScheme::Ctor)
+            }
+            OrderedIds::Unchecked(_) => Block::from_parts(header, txns, OrderingScheme::Ctor),
+        };
+        match block {
             Ok(block) => self.store_and_announce(block_id, block, neighbors),
             Err(_) => Output::none(),
         }
@@ -2305,18 +2398,35 @@ fn request_block_id(msg: &Message) -> Option<Digest> {
     }
 }
 
-/// The block a *response*-class message answers about, if any — the
-/// counterpart of [`request_block_id`] for closing the RTT measurement.
-fn response_block_id(msg: &Message) -> Option<Digest> {
+/// Is `msg` a *response*-class message — the counterpart of
+/// [`request_block_id`] for closing the RTT measurement?
+fn is_response(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::GrapheneBlock(_)
+            | Message::CmpctBlock(_)
+            | Message::XthinBlock(_)
+            | Message::FullBlock(_)
+            | Message::GrapheneRecovery(_)
+            | Message::RatelessCells(_)
+            | Message::BlockTxn(_)
+    )
+}
+
+/// The block a frame concerns, if any: block-carrying frames hash their
+/// header (the one place a received header is hashed), the rest name the
+/// block outright. Transaction gossip concerns no block.
+fn frame_block_id(msg: &Message) -> Option<Digest> {
     match msg {
-        Message::GrapheneBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::CmpctBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::XthinBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
-        Message::FullBlock(m) => Some(graphene_hashes::sha256d(&m.header.to_bytes())),
+        Message::GrapheneBlock(m) => Some(m.header.id()),
+        Message::CmpctBlock(m) => Some(m.header.id()),
+        Message::XthinBlock(m) => Some(m.header.id()),
+        Message::FullBlock(m) => Some(m.header.id()),
         Message::GrapheneRecovery(m) => Some(m.block_id),
         Message::RatelessCells(m) => Some(m.block_id),
         Message::BlockTxn(m) => Some(m.block_id),
-        _ => None,
+        Message::Inv(m) => Some(m.block_id),
+        other => request_block_id(other),
     }
 }
 
@@ -2405,7 +2515,7 @@ mod tests {
         let shed = p.enqueue(PeerId(1), Message::Inv(InvMsg { block_id: block_of(2, 4).id() }), 40);
         assert_eq!(shed, 1, "over cap: one frame must go");
         // The oldest announcement went; the protected recovery frame stayed.
-        let (_, first, _) = p.dequeue().expect("queue non-empty");
+        let first = p.dequeue().expect("queue non-empty").msg;
         assert!(matches!(first, Message::BlockTxn(_)), "protected frame was shed: {first:?}");
         assert_eq!(p.queued_frames(), 2);
     }
@@ -2584,7 +2694,7 @@ mod tests {
         assert_eq!(p.enqueue(PeerId(1), inv(8), 40), 0);
         assert_eq!(p.enqueue(PeerId(1), inv(9), 40), 1, "over cap: one announcement goes");
         let mut bodies = 0;
-        while let Some((_, m, _)) = p.dequeue() {
+        while let Some(Inbound { msg: m, .. }) = p.dequeue() {
             bodies += matches!(m, Message::GrapheneBlock(_)) as usize;
         }
         assert_eq!(bodies, 1, "the cache-served body was shed");
