@@ -27,9 +27,10 @@
 //! The same machinery synchronizes whole mempools ([`mempool_sync`]), with
 //! the `m ≈ n` special case of §3.3.1 handled via a third filter `F`.
 //!
-//! [`session`] glues both protocols into a two-party relay with exact
-//! byte accounting per message — the quantity every figure in the paper
-//! plots.
+//! [`receiver`] is the receive sequence as one sans-IO state machine;
+//! [`session`] drives it against an in-process sender, a two-party relay
+//! with exact byte accounting per message — the quantity every figure in
+//! the paper plots. The netsim peer is its other driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +43,7 @@ pub mod ordering;
 pub mod params;
 pub mod protocol1;
 pub mod protocol2;
+pub mod receiver;
 pub mod recovery;
 pub mod session;
 

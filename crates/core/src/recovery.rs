@@ -12,7 +12,7 @@
 //! 2. **GrapheneRetry** — re-request with inflated parameters: fresh salts,
 //!    β decayed toward 1 (shrinking the failure budget per Theorem 3's
 //!    assurance model), and an IBLT sized `1.5×` per attempt
-//!    ([`RetryTweak`]).
+//!    ([`RetryTweak`](crate::protocol1::RetryTweak)).
 //! 3. **Rateless** (optional, via [`RecoveryPolicy::rateless`]) — instead
 //!    of the retries, stream coded cells from a rateless IBLT (arXiv
 //!    2402.02668) against the candidate set the failed attempt already
@@ -26,9 +26,12 @@
 //!
 //! The order and budgets live in one sans-IO policy, [`Ladder`], with two
 //! drivers: [`relay_with_recovery`] runs it in-process, and the netsim
-//! peer runs it on timeouts and failed decodes. The per-rung pieces both
-//! drivers share — the short-ID request filter, the rateless stream and
-//! its first window, the decoded difference's resolution — live here too.
+//! peer runs it on timeouts and failed decodes. What happens *on* the
+//! Graphene rungs — Protocols 1 and 2, the extra fetch, the rateless
+//! stream — is the [`Receiver`](crate::receiver::Receiver) machine both
+//! drivers step. The per-rung pieces both drivers share — the short-ID
+//! request filter, the rateless stream, its windows and its first window,
+//! the decoded difference's resolution — live here too.
 //!
 //! Every rung records its bytes and rounds in a [`RungReport`]; the merged
 //! [`ByteBreakdown`] keeps figures honest about what degradation costs.
@@ -36,17 +39,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::config::GrapheneConfig;
-use crate::protocol1::{self, CandidateSet, RetryTweak};
-use crate::protocol2;
-use crate::session::{
-    body_bytes, full_block_round, relay_block_attempt, ByteBreakdown, FetchRound,
-};
+use crate::protocol1::CandidateSet;
+use crate::session::{body_bytes, relay, ByteBreakdown, Encoding, FetchRound};
 use graphene_blockchain::{Block, CheckedIds, Mempool, PeerView, TxId};
 use graphene_bloom::{BloomFilter, Membership};
 use graphene_hashes::{short_id_8, Digest};
-use graphene_iblt::rateless::{
-    CellStream, DecodeProgress, RatelessDecoder, RatelessDiff, MAX_CELLS_PER_BATCH,
-};
+use graphene_iblt::rateless::{CellStream, RatelessDecoder, RatelessDiff, MAX_CELLS_PER_BATCH};
 use graphene_wire::messages::{
     GetMoreCellsMsg, Message, RatelessCellsMsg, XthinBlockMsg, XthinGetDataMsg,
 };
@@ -242,11 +240,9 @@ impl LadderReport {
 }
 
 /// Relay `block` with the full recovery ladder: never gives up, always
-/// reports what the descent cost.
-///
-/// In-process every failed attempt has built its candidate set, and the
-/// rateless rung spends its whole window budget before it returns, so a
-/// failed rateless rung is [`RungFailure::Abandoned`].
+/// reports what the descent cost. One loop ([`crate::session`]'s
+/// in-process driver) steps the [`Receiver`](crate::receiver::Receiver)
+/// through every Graphene rung, answering it with the sender functions.
 pub fn relay_with_recovery(
     block: &Block,
     peer: Option<&PeerView>,
@@ -254,63 +250,25 @@ pub fn relay_with_recovery(
     cfg: &GrapheneConfig,
     policy: &RecoveryPolicy,
 ) -> LadderReport {
-    let mut rungs = Vec::new();
-    let mut bytes = ByteBreakdown::default();
-    let mut rounds = 0u32;
-    let mut at = Ladder::START;
-    while at.rung != RungKind::FullBlock {
-        let kind = at.rung;
-        let mut report = RungReport { kind, attempt: 0, bytes: 0, rounds: 0, success: false };
-        let ordered_ids = match kind {
-            RungKind::Graphene | RungKind::GrapheneRetry => {
-                let tweak = RetryTweak::for_attempt(cfg, at.retries);
-                let r = relay_block_attempt(block, peer, receiver_mempool, cfg, &tweak);
-                bytes.absorb(&r.bytes);
-                report.attempt = at.retries;
-                report.bytes = r.bytes.total();
-                report.rounds = r.rounds;
-                report.success = r.outcome.is_success();
-                r.ordered_ids.filter(|_| report.success)
-            }
-            RungKind::Rateless => {
-                rateless_rung(block, peer, receiver_mempool, cfg, policy, &mut bytes, &mut report)
-            }
-            // ShortIdFetch: the loop stops before the full block.
-            _ => shortid_rung(block, receiver_mempool, policy, &mut bytes, &mut report),
-        };
-        rounds += report.rounds;
-        rungs.push(report);
-        if let Some(ordered_ids) = ordered_ids {
-            return LadderReport { delivered: kind, rungs, bytes, rounds, ordered_ids };
-        }
-        let why = match kind {
-            RungKind::Rateless => RungFailure::Abandoned,
-            _ => RungFailure::Failed,
-        };
-        match at.next(policy, true, why) {
-            Some(next) => at = next,
-            None => break,
-        }
-    }
-
-    // The full block. Cannot fail.
-    let (wire, bodies) = full_block_round(block);
-    bytes.fallback += wire - bodies;
-    bytes.missing_txns += bodies;
-    rounds += 1;
-    rungs.push(RungReport {
-        kind: RungKind::FullBlock,
-        attempt: 0,
-        bytes: wire,
-        rounds: 1,
-        success: true,
-    });
-    LadderReport { delivered: RungKind::FullBlock, rungs, bytes, rounds, ordered_ids: block.ids() }
+    relay(block, peer, receiver_mempool, cfg, Encoding::PerReceiver, Some(policy)).1
 }
 
-/// The sender's rateless coded-cell stream over `block`'s short IDs.
-pub fn rateless_stream(block: &Block) -> CellStream {
-    CellStream::new(rateless_salt(&block.id()), block.txns().iter().map(|tx| short_id_8(tx.id())))
+/// The sender's answer to a window request: cells of the rateless stream
+/// over `block`'s short IDs. Stateless: the stream is a deterministic
+/// function of `(block, salt)`, so any window is regenerated by replaying
+/// from index 0 — no per-receiver stream state to account, shed, or lose
+/// in a crash.
+pub fn rateless_cells(block: &Block, req: &GetMoreCellsMsg) -> RatelessCellsMsg {
+    let short_ids = block.txns().iter().map(|tx| short_id_8(tx.id()));
+    let mut stream = CellStream::new(rateless_salt(&block.id()), short_ids);
+    stream.skip(req.from_index);
+    let cells = stream.cells((req.count as usize).min(MAX_CELLS_PER_BATCH));
+    RatelessCellsMsg {
+        block_id: req.block_id,
+        salt: stream.salt(),
+        start_index: req.from_index,
+        cells,
+    }
 }
 
 /// Open the rateless rung against the candidate set a failed attempt
@@ -330,110 +288,20 @@ pub fn rateless_open(
     let d_est = (state.partial_left.len() + state.partial_right.len())
         .max(state.z.abs_diff(block_tx_count))
         .max(4);
-    (decoder, (3 * d_est).clamp(8, MAX_CELLS_PER_BATCH))
+    (decoder, d_est.saturating_mul(3).clamp(8, MAX_CELLS_PER_BATCH))
 }
 
 /// Resolve a decoded difference against the candidates: drop the `S`
 /// false positives (`only_local`). The `only_remote` short IDs are block
 /// transactions the receiver lacks; the caller fetches them by short ID
-/// (Protocol 2's extra round) before [`protocol2::finalize_p2`].
+/// (Protocol 2's extra round) before
+/// [`finalize_p2`](crate::protocol2::finalize_p2).
 pub fn rateless_resolve(by_short: &HashMap<u64, TxId>, diff: &RatelessDiff) -> HashMap<u64, TxId> {
     let mut resolved = by_short.clone();
     for s in &diff.only_local {
         resolved.remove(s);
     }
     resolved
-}
-
-/// The rateless rung: the receiver keeps the [`CandidateSet`] its failed
-/// Graphene attempt built (mempool survivors of `S`, i.e. block∩mempool
-/// plus `S` false positives), so sender and receiver already share almost
-/// everything — the remaining job is reconciling the block's short-ID set
-/// against the candidates, whose symmetric difference is small however
-/// badly the original IBLT was sized. The sender streams coded cells from
-/// [`rateless_stream`]; the receiver's [`RatelessDecoder`] peels
-/// incrementally and asks for more, within the [`Ladder`]'s window budget,
-/// until it decodes.
-///
-/// The candidate state is regenerated here rather than threaded out of
-/// [`relay_block_attempt`] — the encode is deterministic, so this is
-/// byte-for-byte the state the receiver holds, at zero wire cost.
-fn rateless_rung(
-    block: &Block,
-    peer: Option<&PeerView>,
-    mempool: &Mempool,
-    cfg: &GrapheneConfig,
-    policy: &RecoveryPolicy,
-    bytes: &mut ByteBreakdown,
-    report: &mut RungReport,
-) -> Option<Vec<TxId>> {
-    let (msg, _) = protocol1::sender_encode(block, mempool.len() as u64, peer, cfg);
-    let state = match protocol1::receiver_decode(&msg, mempool, cfg) {
-        // Unreachable when the ladder descended honestly (the identical
-        // attempt just failed), but harmless: deliver at zero extra cost.
-        Ok(ok) => {
-            report.success = true;
-            return Some(ok.ordered_ids);
-        }
-        Err((_, state)) => state,
-    };
-
-    let mut stream = rateless_stream(block);
-    let (mut decoder, mut batch) = rateless_open(&block.id(), &state, block.len());
-    let mut ladder = Ladder::on(RungKind::Rateless, 1);
-    let decoded = loop {
-        let start = stream.emitted();
-        let cells = stream.cells(batch);
-        let req = Message::GetMoreCells(GetMoreCellsMsg {
-            block_id: block.id(),
-            from_index: start,
-            count: batch as u32,
-        });
-        let resp = Message::RatelessCells(RatelessCellsMsg {
-            block_id: block.id(),
-            salt: stream.salt(),
-            start_index: start,
-            cells: cells.clone(),
-        });
-        let window = req.wire_size() + resp.wire_size();
-        report.bytes += window;
-        report.rounds += 1;
-        bytes.rateless += window;
-        match decoder.push_cells(start, &cells) {
-            Ok(DecodeProgress::Decoded(diff)) => break Some(diff),
-            Ok(DecodeProgress::NeedMore(n)) => batch = n,
-            // An honest stream cannot be malformed; bail to the next rung.
-            Err(_) => break None,
-        }
-        match ladder.next(policy, true, RungFailure::Failed) {
-            Some(next) if next.rung == RungKind::Rateless => ladder = next,
-            _ => break None,
-        }
-    };
-    let diff = decoded?;
-
-    let mut resolved = rateless_resolve(&state.by_short, &diff);
-    if !diff.only_remote.is_empty() {
-        let fetch = FetchRound::run(block, &diff.only_remote);
-        report.bytes += fetch.wire;
-        report.rounds += 1;
-        bytes.rateless += fetch.wire - fetch.bodies;
-        bytes.missing_txns += fetch.bodies;
-        if fetch.txns.len() != diff.only_remote.len() {
-            // A recovered short ID the sender does not recognize: a decode
-            // artifact (XOR collision); fall through to the next rung.
-            return None;
-        }
-        for tx in &fetch.txns {
-            resolved.insert(short_id_8(tx.id()), *tx.id());
-        }
-    }
-
-    let ids = protocol2::finalize_p2(&resolved, block.header().merkle_root, &msg.order_bytes, cfg)
-        .ok()?
-        .ordered_ids?;
-    report.success = true;
-    Some(ids)
 }
 
 /// The short-ID request's mempool filter: every transaction the receiver
@@ -451,7 +319,7 @@ pub fn shortid_filter(block_id: &Digest, mempool: &Mempool, fpr: f64) -> BloomFi
 ///
 /// Fails (→ full block) only when short-ID resolution is ambiguous or the
 /// Merkle root does not validate.
-fn shortid_rung(
+pub(crate) fn shortid_rung(
     block: &Block,
     mempool: &Mempool,
     policy: &RecoveryPolicy,

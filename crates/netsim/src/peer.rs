@@ -12,11 +12,15 @@
 //! ladder of [`graphene::recovery`] — Graphene, inflated retries *or* a
 //! rateless cell stream, short-ID fetch, full block — instead of looping
 //! on the same request. The rung order and budgets are core's sans-IO
-//! [`Ladder`] under the peer's [`RecoveryPolicy`]; this module drives it
-//! with timeouts and failed decodes and supplies what is netsim's own:
-//! phases, timers, hedging, breakers, failover, bans and resource caps.
-//! (Compact Blocks, XThin and full-block peers retry their own request
-//! [`MAX_ATTEMPTS`] times, then take the full block.)
+//! [`Ladder`] under the peer's [`RecoveryPolicy`]; what happens on the
+//! Graphene rungs (Protocols 1 and 2, the extra fetch, the rateless
+//! stream) is core's [`Receiver`], the one place the receive sequence
+//! lives — the in-process relay is its other driver. This module steps
+//! both with frames, timeouts and failed decodes and supplies what is
+//! netsim's own: routing, timers and epochs, hedging, breakers, failover,
+//! bans, bodies and resource caps. (Compact Blocks, XThin and full-block
+//! peers retry their own request [`MAX_ATTEMPTS`] times, then take the
+//! full block.)
 //!
 //! If the ladder is exhausted against one server (e.g. it stalls), the
 //! session *fails over* to an alternate announcing peer and restarts at
@@ -60,24 +64,18 @@ use crate::time::SimTime;
 use bytes::Bytes;
 use graphene::config::GrapheneConfig;
 use graphene::encode_cache::{CacheKey, CacheStats, EncodeCache};
-use graphene::error::{P1Failure, P2Failure};
-use graphene::protocol1::{self, CandidateSet, RetryTweak};
-use graphene::protocol2::{self};
+use graphene::protocol1::{self, RetryTweak};
+use graphene::receiver::{Input, Receiver, RxEnv, Step};
 use graphene::recovery::{
-    rateless_open, rateless_resolve, rateless_salt, rateless_stream, shortid_filter, Ladder,
-    RecoveryPolicy, RungFailure, RungKind,
+    rateless_salt, shortid_filter, Ladder, RecoveryPolicy, RungFailure, RungKind,
 };
-use graphene::session::block_txns_by_short_id;
+use graphene::session::serve;
 use graphene::NodeSnapshot;
 use graphene_blockchain::{Block, CheckedIds, Header, Mempool, OrderingScheme, Transaction, TxId};
 use graphene_hashes::{sha256, short_id_6, short_id_8, Digest, SipKey};
-use graphene_iblt::rateless::{
-    DecodeProgress, RatelessDecoder, RatelessError, MAX_CELLS_PER_BATCH,
-};
 use graphene_wire::messages::{
     BlockTxnMsg, CmpctBlockMsg, FullBlockMsg, GetBlockTxnMsg, GetDataMsg, GetFullBlockMsg,
-    GetGrapheneRetryMsg, GetGrapheneTxnMsg, GetMoreCellsMsg, GetTxnsMsg, InvMsg, Message,
-    RatelessCellsMsg, TxInvMsg, TxnsMsg, XthinBlockMsg, XthinGetDataMsg,
+    GetTxnsMsg, InvMsg, Message, TxInvMsg, TxnsMsg, XthinBlockMsg, XthinGetDataMsg,
 };
 use graphene_wire::Encode;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -354,6 +352,8 @@ struct RxSession {
     /// Current ladder rung and the budget spent on it.
     ladder: Ladder,
     phase: RxPhase,
+    /// The Graphene receive sequence (idle for the other protocols).
+    rx: Receiver,
     /// Full ladder traversals completed (each ends in a failover attempt).
     cycles: u32,
     /// Bodies collected during the session (prefilled, missing, fetched).
@@ -364,7 +364,7 @@ struct RxSession {
 }
 
 impl RxSession {
-    fn new(server: PeerId) -> RxSession {
+    fn new(server: PeerId, block_id: Digest) -> RxSession {
         RxSession {
             server,
             alternates: Vec::new(),
@@ -372,6 +372,7 @@ impl RxSession {
             attempt: 0,
             ladder: Ladder::START,
             phase: RxPhase::Requested,
+            rx: Receiver::new(block_id),
             cycles: 0,
             bodies: HashMap::new(),
             body_bytes: 0,
@@ -401,26 +402,11 @@ impl RxSession {
     }
 }
 
+/// Where a session of a non-Graphene protocol stands; a Graphene
+/// session's phases are its [`Receiver`]'s.
 enum RxPhase {
     /// Request sent, awaiting the block payload.
     Requested,
-    /// Graphene Protocol 2 request sent.
-    GrapheneP2 {
-        state: Box<CandidateSet>,
-        header: Header,
-        order_bytes: Vec<u8>,
-        block_tx_count: usize,
-    },
-    /// Rateless cell stream in flight: the decoder accumulates windows
-    /// until the difference peels.
-    Rateless {
-        by_short: HashMap<u64, TxId>,
-        decoder: Box<RatelessDecoder>,
-        header: Header,
-        order_bytes: Vec<u8>,
-    },
-    /// Graphene extra-fetch of R false positives sent.
-    GrapheneFetch { resolved: HashMap<u64, TxId>, header: Header, order_bytes: Vec<u8> },
     /// Compact Blocks repair round pending; slots hold resolved IDs.
     CompactWait { header: Header, slots: Vec<Option<TxId>>, missing: Vec<u64> },
     /// XThin repair round pending.
@@ -778,14 +764,7 @@ impl Peer {
             body_bytes: self.sessions.values().map(|s| s.body_bytes).sum(),
             pending_announcements: self.pending_announcements.len(),
             encode_cache_bytes: self.cache.as_ref().map_or(0, EncodeCache::used_bytes),
-            rateless_state_bytes: self
-                .sessions
-                .values()
-                .map(|s| match &s.phase {
-                    RxPhase::Rateless { decoder, .. } => decoder.state_bytes(),
-                    _ => 0,
-                })
-                .sum(),
+            rateless_state_bytes: self.sessions.values().map(|s| s.rx.rateless_state_bytes()).sum(),
             tracker_bytes: (self.rtt.len() + self.health.len() + self.req_sent.len()) as u64
                 * TRACKER_ENTRY_BYTES,
             hwm_bytes: self.hwm_bytes,
@@ -1106,14 +1085,23 @@ impl Peer {
             Message::GetData(m) => self.on_getdata(from, m),
             Message::GrapheneBlock(m) => {
                 let id = header_id(&m.header);
-                self.on_graphene_block(from, m, id, neighbors)
+                self.graphene_payload(from, id, Input::Block(&m, id), &m.prefilled, neighbors)
             }
-            Message::GrapheneRequest(m) => self.on_graphene_request(from, m),
-            Message::GrapheneRecovery(m) => self.on_graphene_recovery(from, m, neighbors),
-            Message::GetGrapheneTxn(m) => self.on_get_graphene_txn(from, m),
-            Message::GetGrapheneRetry(m) => self.on_get_graphene_retry(from, m),
-            Message::RatelessCells(m) => self.on_rateless_cells(from, m, neighbors),
-            Message::GetMoreCells(m) => self.on_get_more_cells(from, m),
+            Message::GrapheneRequest(_)
+            | Message::GetGrapheneTxn(_)
+            | Message::GetGrapheneRetry(_)
+            | Message::GetMoreCells(_) => self.on_graphene_serve(from, msg, block_id),
+            Message::GrapheneRecovery(m) => {
+                self.graphene_payload(from, m.block_id, Input::Recovery(&m), &m.missing, neighbors)
+            }
+            // The codec salt is a public function of the block ID: a frame
+            // claiming any other salt is provably hostile, no session needed.
+            Message::RatelessCells(m) if m.salt != rateless_salt(&m.block_id) => {
+                self.punish(from, MALFORMED_SCORE)
+            }
+            Message::RatelessCells(m) => {
+                self.graphene_payload(from, m.block_id, Input::Cells(&m), &[], neighbors)
+            }
             Message::CmpctBlock(m) => {
                 let id = header_id(&m.header);
                 self.on_cmpct_block(from, m, id, neighbors)
@@ -1388,73 +1376,47 @@ impl Peer {
                 self.req_sent.remove(&(block_id, server));
             }
         }
-        let is_graphene = matches!(self.protocol, RelayProtocol::Graphene(_));
         let policy = self.recovery;
-        // `(from_index, count)` of the cell window to (re-)request when the
-        // session lands on the rateless rung.
-        let mut cell_window: Option<(u64, u32)> = None;
-        let (server, epoch, at, escalated) = {
+        let (server, epoch, step, at, escalated) = {
             let Some(s) = self.sessions.get_mut(&block_id) else {
                 return Output::none();
             };
             s.bump_epoch();
-            let next = if is_graphene {
-                let has_candidates = matches!(s.phase, RxPhase::GrapheneP2 { .. });
-                // A rateless session whose decoder is gone (it timed out
-                // mid-fetch) has nothing left to grow.
-                let lost_stream = s.ladder.rung == RungKind::Rateless
-                    && !matches!(s.phase, RxPhase::Rateless { .. });
-                let why = if lost_stream { RungFailure::Abandoned } else { why };
-                s.ladder.next(&policy, has_candidates, why)
-            } else if s.ladder.rung == RungKind::FullBlock {
-                None
-            } else if s.ladder.retries + 1 < MAX_ATTEMPTS {
-                Some(Ladder { retries: s.ladder.retries + 1, ..s.ladder }) // plain re-request
-            } else {
-                Some(Ladder { rung: RungKind::FullBlock, ..s.ladder })
+            let next = match &self.protocol {
+                RelayProtocol::Graphene(_) => s.rx.next(s.ladder, &policy, why),
+                _ if s.ladder.rung == RungKind::FullBlock => None,
+                // A plain re-request.
+                _ if s.ladder.retries + 1 < MAX_ATTEMPTS => {
+                    Some(Ladder { retries: s.ladder.retries + 1, ..s.ladder })
+                }
+                _ => Some(Ladder { rung: RungKind::FullBlock, ..s.ladder }),
             };
             let Some(next) = next else {
                 // Ladder exhausted against this server: fail over.
                 return self.failover(block_id);
             };
-            if next.rung != RungKind::Rateless {
-                s.phase = RxPhase::Requested;
-            } else if let RxPhase::Rateless { decoder, .. } = &s.phase {
-                // A timed-out (lost or shed) window: re-request the
-                // pending one.
-                cell_window = Some((decoder.received(), decoder.suggested_batch() as u32));
-            } else if let RxPhase::GrapheneP2 { state, header, order_bytes, block_tx_count } =
-                std::mem::replace(&mut s.phase, RxPhase::Requested)
-            {
-                // The "no retry cliff" path: instead of re-shipping whole
-                // inflated sketches, grow a coded-cell stream against the
-                // candidate set the failed attempt already built.
-                let (decoder, batch) = rateless_open(&block_id, &state, block_tx_count);
-                cell_window = Some((0, batch as u32));
-                s.phase = RxPhase::Rateless {
-                    by_short: state.by_short,
-                    decoder: Box::new(decoder),
-                    header,
-                    order_bytes,
-                };
-            }
+            s.phase = RxPhase::Requested;
             let escalated = next.rung != s.ladder.rung;
             s.ladder = next;
-            (s.server, s.attempt, next, escalated)
+            // The Graphene rungs are the receiver's to open: a fresh
+            // request, or the next (or re-requested) window of the stream.
+            let step = match &self.protocol {
+                RelayProtocol::Graphene(cfg) => {
+                    let cap = self.limits.max_rateless_state_bytes;
+                    let env = RxEnv { mempool: &self.mempool, cfg, rateless_cap: cap };
+                    s.rx.step(Input::Rung(next), &env)
+                }
+                _ => Step::Ignore,
+            };
+            (s.server, s.attempt, step, next, escalated)
         };
-        let msg = match at.rung {
-            RungKind::Graphene => self.request_for(block_id),
-            RungKind::GrapheneRetry => Message::GetGrapheneRetry(GetGrapheneRetryMsg {
-                block_id,
-                mempool_count: self.mempool.len() as u64,
-                attempt: at.retries,
-            }),
-            RungKind::Rateless => {
-                let (from_index, count) = cell_window.unwrap_or((0, 8));
-                Message::GetMoreCells(GetMoreCellsMsg { block_id, from_index, count })
-            }
-            RungKind::ShortIdFetch => self.shortid_request(block_id, policy.shortid_fpr),
-            RungKind::FullBlock => Message::GetFullBlock(GetFullBlockMsg { block_id }),
+        let msg = match (step, at.rung) {
+            (Step::Send(msg), _) => msg,
+            // The rung could not open (no stream to grow): on down.
+            (Step::Failed { why, .. }, _) => return self.escalate(block_id, why),
+            (_, RungKind::ShortIdFetch) => self.shortid_request(block_id, policy.shortid_fpr),
+            (_, RungKind::FullBlock) => Message::GetFullBlock(GetFullBlockMsg { block_id }),
+            _ => self.request_for(block_id),
         };
         let mut out = Output::none();
         out.escalations = escalated as u32;
@@ -1543,6 +1505,7 @@ impl Peer {
             }
             s.ladder = Ladder::START;
             s.phase = RxPhase::Requested;
+            s.rx = Receiver::new(block_id);
             (s.server, s.attempt, switched)
         };
         let mut out = Output::none();
@@ -1630,7 +1593,7 @@ impl Peer {
             // block again once a slot frees.
             return Output::none();
         }
-        self.sessions.insert(m.block_id, RxSession::new(from));
+        self.sessions.insert(m.block_id, RxSession::new(from, m.block_id));
         let mut out = Output::none();
         out.send.push((from, self.request_for(m.block_id)));
         out.timers.push((m.block_id, 0));
@@ -1704,354 +1667,120 @@ impl Peer {
     }
 
     // --- Graphene ---------------------------------------------------------
+    // The receive sequence is core's `Receiver`; the handlers below settle
+    // the hedge race, keep the bodies and carry out the machine's steps.
 
-    fn on_graphene_block(
+    /// A Graphene payload for `block_id`'s session: settle the hedge race,
+    /// keep its `bodies` and step the receiver with it.
+    fn graphene_payload(
         &mut self,
         from: PeerId,
-        m: graphene_wire::messages::GrapheneBlockMsg,
         block_id: Digest,
+        input: Input<'_>,
+        bodies: &[Transaction],
         neighbors: &[PeerId],
     ) -> Output {
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-            return Output::none();
-        };
+        if !matches!(self.protocol, RelayProtocol::Graphene(_))
+            || !self.accept_payload(from, &block_id, bodies)
         {
-            let Some(session) = self.sessions.get_mut(&block_id) else {
-                return Output::none();
-            };
-            if !self.hedges.settle(session, from) {
-                return Output::none(); // unsolicited, or a hedge loser's late reply
-            }
-            for tx in &m.prefilled {
-                session.add_body(&self.limits, tx);
-            }
+            return Output::none();
         }
-        match protocol1::receiver_decode(&m, &self.mempool, &cfg) {
-            Ok(ok) => self.complete_block(block_id, m.header, ok.checked.into(), neighbors),
-            Err((why, state)) => {
-                if matches!(why, P1Failure::Malformed(_)) {
-                    // §6.1: a provably hostile IBLT — ban and fail over.
-                    return self.punish(from, MALFORMED_SCORE);
-                }
-                let (req, _) = protocol2::receiver_request(
-                    &state,
-                    block_id,
-                    m.block_tx_count as usize,
-                    self.mempool.len(),
-                    &cfg,
-                );
-                let Some(session) = self.sessions.get_mut(&block_id) else {
-                    return Output::none();
-                };
-                session.bump_epoch();
-                session.phase = RxPhase::GrapheneP2 {
-                    state: Box::new(state),
-                    header: m.header,
-                    order_bytes: m.order_bytes.clone(),
-                    block_tx_count: m.block_tx_count as usize,
-                };
-                let attempt = session.attempt;
-                let mut out = Output::none();
-                out.send.push((from, Message::GrapheneRequest(req)));
-                out.timers.push((block_id, attempt));
-                out
-            }
-        }
+        self.graphene_step(from, block_id, input, neighbors)
     }
 
-    fn on_graphene_request(
+    /// Step `block_id`'s receiver with `input` and carry out its step.
+    fn graphene_step(
         &mut self,
         from: PeerId,
-        m: graphene_wire::messages::GrapheneRequestMsg,
+        block_id: Digest,
+        input: Input<'_>,
+        neighbors: &[PeerId],
     ) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
         let RelayProtocol::Graphene(cfg) = &self.protocol else {
             return Output::none();
         };
-        // The sender does not re-learn m here; deployed graphene caches it.
-        // Receiver-dependent (`R` differs per peer): always a cache bypass.
-        let rec = protocol2::sender_respond_cached(
-            block,
-            &m,
-            self.mempool.len().max(block.len()),
-            cfg,
-            self.cache.as_ref(),
-        );
-        let mut out = Output::none();
-        out.send.push((from, Message::GrapheneRecovery(rec)));
-        out
+        let Some(s) = self.sessions.get_mut(&block_id) else {
+            return Output::none();
+        };
+        let cap = self.limits.max_rateless_state_bytes;
+        let step = s.rx.step(input, &RxEnv { mempool: &self.mempool, cfg, rateless_cap: cap });
+        match step {
+            Step::Send(msg) => {
+                s.bump_epoch();
+                let mut out = Output::none();
+                out.send.push((from, msg));
+                out.timers.push((block_id, s.attempt));
+                out
+            }
+            Step::Done { header, checked } => {
+                self.complete_block(block_id, header, checked.into(), neighbors)
+            }
+            Step::Failed { why, .. } => {
+                let at = s.ladder;
+                match s.rx.next(at, &self.recovery, why) {
+                    // An incremental-redundancy round: the window did not
+                    // decode, so ask the server (which just answered: no
+                    // hedge, no breaker charge) for the next one while the
+                    // rung's budget lasts.
+                    Some(next)
+                        if (at.rung, next.rung) == (RungKind::Rateless, RungKind::Rateless) =>
+                    {
+                        s.ladder = next;
+                        self.graphene_step(from, block_id, Input::Rung(next), neighbors)
+                    }
+                    _ => self.escalate(block_id, why),
+                }
+            }
+            // §6.1: a provably hostile structure — ban and fail over.
+            Step::Malformed { .. } => self.punish(from, MALFORMED_SCORE),
+            Step::Ignore => Output::none(),
+        }
     }
 
-    /// Serve a ladder rung 2 re-request: re-encode with Theorem 3's decayed
-    /// β, an inflated IBLT, and a fresh salt.
-    fn on_get_graphene_retry(&mut self, from: PeerId, m: GetGrapheneRetryMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
+    /// First-response-wins for a payload frame from `from`, keeping its
+    /// `bodies`. `false` when there is no session, or the frame is
+    /// unsolicited or a hedge loser's late reply (silently discarded).
+    fn accept_payload(&mut self, from: PeerId, block_id: &Digest, bodies: &[Transaction]) -> bool {
+        let Some(session) = self.sessions.get_mut(block_id) else {
+            return false;
+        };
+        if !self.hedges.settle(session, from) {
+            return false;
+        }
+        for tx in bodies {
+            session.add_body(&self.limits, tx);
+        }
+        true
+    }
+
+    /// Serve a Graphene request past Protocol 1 for a held block (core's
+    /// [`serve`]). A non-Graphene server cannot re-encode or stream: it
+    /// answers a retry or a window request with the full block, so the
+    /// ladder still terminates.
+    fn on_graphene_serve(
+        &mut self,
+        from: PeerId,
+        msg: Message,
+        block_id: Option<Digest>,
+    ) -> Output {
+        let Some(block) = block_id.and_then(|id| self.blocks.get(&id)) else {
             return Output::none();
         };
         let mut out = Output::none();
         match &self.protocol {
             RelayProtocol::Graphene(cfg) => {
-                // Deliberately cache-free: a retry exists to re-encode with
-                // a *fresh* salt after a failed decode, so this handler
-                // never consults the relay cache — serving the cached
-                // attempt-0 frame would replay the very salts that just
-                // failed. (`EncodeCache::cacheable` enforces the same rule
-                // for anyone routing retries through the cached encoder.)
-                if let Some(cache) = &self.cache {
-                    cache.note_bypass();
-                }
-                let tweak = RetryTweak::for_attempt(cfg, m.attempt);
-                let (msg, _) =
-                    protocol1::sender_encode_retry(block, m.mempool_count, None, cfg, &tweak);
-                out.send.push((from, Message::GrapheneBlock(msg)));
+                // The sender does not re-learn m here; deployed graphene
+                // caches it.
+                let m = self.mempool.len().max(block.len());
+                let reply = serve(block, &msg, m, None, cfg, self.cache.as_ref());
+                out.send.extend(reply.map(|reply| (from, reply)));
             }
-            _ => {
-                // A non-Graphene server cannot re-encode; answer with the
-                // full block so the ladder still terminates.
-                out.send.push((
-                    from,
-                    Message::FullBlock(FullBlockMsg {
-                        header: *block.header(),
-                        txns: block.txns().to_vec(),
-                    }),
-                ));
-            }
-        }
-        out
-    }
-
-    fn on_graphene_recovery(
-        &mut self,
-        from: PeerId,
-        m: graphene_wire::messages::GrapheneRecoveryMsg,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let block_id = m.block_id;
-        let Some(session) = self.sessions.get_mut(&block_id) else {
-            return Output::none();
-        };
-        if !self.hedges.settle(session, from) {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        }
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-            return Output::none();
-        };
-        for tx in &m.missing {
-            session.add_body(&self.limits, tx);
-        }
-        let RxPhase::GrapheneP2 { state, header, order_bytes, .. } = &mut session.phase else {
-            return Output::none();
-        };
-        let header = *header;
-        let order_bytes = order_bytes.clone();
-        match protocol2::receiver_complete(state, &m, header.merkle_root, &order_bytes, &cfg) {
-            Ok(ok) => {
-                if ok.needs_fetch.is_empty() {
-                    let Some(checked) = ok.checked else {
-                        return self.escalate(block_id, RungFailure::Failed);
-                    };
-                    self.complete_block(block_id, header, checked.into(), neighbors)
-                } else {
-                    session.bump_epoch();
-                    let attempt = session.attempt;
-                    let needs = ok.needs_fetch.clone();
-                    session.phase =
-                        RxPhase::GrapheneFetch { resolved: ok.resolved, header, order_bytes };
-                    let mut out = Output::none();
-                    out.send.push((
-                        from,
-                        Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id, short_ids: needs }),
-                    ));
-                    out.timers.push((block_id, attempt));
-                    out
-                }
-            }
-            Err(e) => {
-                if matches!(e, P2Failure::Malformed(_)) {
-                    // Provably hostile (double-decode on the plain path).
-                    return self.punish(from, MALFORMED_SCORE);
-                }
-                // Undecodable but not attributable: climb the ladder.
-                self.escalate(block_id, RungFailure::Failed)
-            }
-        }
-    }
-
-    fn on_get_graphene_txn(&mut self, from: PeerId, m: GetGrapheneTxnMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let txns = block_txns_by_short_id(block, &m.short_ids);
-        let mut out = Output::none();
-        out.send.push((from, Message::BlockTxn(BlockTxnMsg { block_id: m.block_id, txns })));
-        out
-    }
-
-    // --- Rateless rung ------------------------------------------------------
-
-    /// Serve a coded-cell window request. Stateless on the sender: the
-    /// stream is a deterministic function of `(block, salt)`, so any
-    /// window is regenerated by replaying from index 0 — no per-receiver
-    /// stream state to account, shed, or lose in a crash.
-    fn on_get_more_cells(&mut self, from: PeerId, m: GetMoreCellsMsg) -> Output {
-        let Some(block) = self.blocks.get(&m.block_id) else {
-            return Output::none();
-        };
-        let mut out = Output::none();
-        match &self.protocol {
-            RelayProtocol::Graphene(_) => {
-                // Structurally cache-free: every request names a different
-                // window (`from_index` advances), so a cached frame could
-                // only ever replay a window the receiver already holds —
-                // the same never-cache rule as the 0x14 retry rung
-                // (`EncodeCache::cacheable_cells`). Count the bypass so
-                // fan-out metrics stay honest.
-                if let Some(cache) = &self.cache {
-                    cache.note_bypass();
-                }
-                let mut stream = rateless_stream(block);
-                stream.skip(m.from_index);
-                let cells = stream.cells((m.count as usize).min(MAX_CELLS_PER_BATCH));
-                out.send.push((
-                    from,
-                    Message::RatelessCells(RatelessCellsMsg {
-                        block_id: m.block_id,
-                        salt: stream.salt(),
-                        start_index: m.from_index,
-                        cells,
-                    }),
-                ));
-            }
-            _ => {
-                // A non-Graphene server cannot stream cells; answer with
-                // the full block so the ladder still terminates.
+            _ if matches!(msg, Message::GetGrapheneRetry(_) | Message::GetMoreCells(_)) => {
                 Self::push_full_block(&self.cache, from, block, &mut out);
             }
+            _ => {}
         }
         out
-    }
-
-    fn on_rateless_cells(
-        &mut self,
-        from: PeerId,
-        m: RatelessCellsMsg,
-        neighbors: &[PeerId],
-    ) -> Output {
-        let block_id = m.block_id;
-        // The codec salt is a public function of the block ID: a frame
-        // claiming any other salt is provably hostile, no session needed.
-        if m.salt != rateless_salt(&block_id) {
-            return self.punish(from, MALFORMED_SCORE);
-        }
-        let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-            return Output::none();
-        };
-        enum Step {
-            Ignore,
-            Hostile,
-            FallThrough(RungFailure),
-            Request { from_index: u64, count: u32, epoch: u32 },
-            Fetch { needs: Vec<u64>, epoch: u32 },
-            Done { checked: CheckedIds, header: Header },
-        }
-        let policy = self.recovery;
-        let step = {
-            let Some(session) = self.sessions.get_mut(&block_id) else {
-                return Output::none();
-            };
-            if !self.hedges.settle(session, from) {
-                return Output::none(); // unsolicited, or a hedge loser's late reply
-            }
-            let state_limit = self.limits.max_rateless_state_bytes;
-            let RxPhase::Rateless { by_short, decoder, header, order_bytes } = &mut session.phase
-            else {
-                return Output::none(); // stale window from a rung we left
-            };
-            let incoming = (m.cells.len() * graphene_iblt::CELL_BYTES) as u64;
-            if decoder.state_bytes() + incoming > state_limit {
-                // Decode state would outgrow its budget: abandon the
-                // stream (short IDs bound the worst case instead).
-                Step::FallThrough(RungFailure::Abandoned)
-            } else {
-                match decoder.push_cells(m.start_index, &m.cells) {
-                    // A duplicate or reordered window (retransmission
-                    // after a timed-out re-request): not attributable,
-                    // not useful — drop it and let the timer re-request.
-                    Err(RatelessError::Gap { .. }) => Step::Ignore,
-                    // Double-decode: the §6.1 attack in rateless form.
-                    Err(RatelessError::Malformed(_)) => Step::Hostile,
-                    Ok(DecodeProgress::NeedMore(n)) => {
-                        match session.ladder.next(&policy, true, RungFailure::Failed) {
-                            Some(next) if next.rung == RungKind::Rateless => {
-                                let from_index = decoder.received();
-                                session.ladder = next;
-                                session.bump_epoch();
-                                Step::Request {
-                                    from_index,
-                                    count: n.min(MAX_CELLS_PER_BATCH) as u32,
-                                    epoch: session.attempt,
-                                }
-                            }
-                            // Window budget spent: on to the next rung.
-                            _ => Step::FallThrough(RungFailure::Failed),
-                        }
-                    }
-                    Ok(DecodeProgress::Decoded(diff)) => {
-                        let resolved = rateless_resolve(by_short, &diff);
-                        let header = *header;
-                        let order_bytes = order_bytes.clone();
-                        if diff.only_remote.is_empty() {
-                            match protocol2::finalize_p2(
-                                &resolved,
-                                header.merkle_root,
-                                &order_bytes,
-                                &cfg,
-                            )
-                            .map(|ok| ok.checked)
-                            {
-                                Ok(Some(checked)) => Step::Done { checked, header },
-                                // Decoded but would not finalize: the
-                                // stream cannot do better.
-                                _ => Step::FallThrough(RungFailure::Abandoned),
-                            }
-                        } else {
-                            session.bump_epoch();
-                            session.phase =
-                                RxPhase::GrapheneFetch { resolved, header, order_bytes };
-                            Step::Fetch { needs: diff.only_remote, epoch: session.attempt }
-                        }
-                    }
-                }
-            }
-        };
-        match step {
-            Step::Ignore => Output::none(),
-            Step::Hostile => self.punish(from, MALFORMED_SCORE),
-            Step::FallThrough(why) => self.escalate(block_id, why),
-            Step::Request { from_index, count, epoch } => {
-                let mut out = Output::none();
-                out.send.push((
-                    from,
-                    Message::GetMoreCells(GetMoreCellsMsg { block_id, from_index, count }),
-                ));
-                out.timers.push((block_id, epoch));
-                out
-            }
-            Step::Fetch { needs, epoch } => {
-                let mut out = Output::none();
-                out.send.push((
-                    from,
-                    Message::GetGrapheneTxn(GetGrapheneTxnMsg { block_id, short_ids: needs }),
-                ));
-                out.timers.push((block_id, epoch));
-                out
-            }
-            Step::Done { checked, header } => {
-                self.complete_block(block_id, header, checked.into(), neighbors)
-            }
-        }
     }
 
     // --- Compact Blocks ----------------------------------------------------
@@ -2127,17 +1856,13 @@ impl Peer {
 
     fn on_block_txn(&mut self, from: PeerId, m: BlockTxnMsg, neighbors: &[PeerId]) -> Output {
         let block_id = m.block_id;
+        if !self.accept_payload(from, &block_id, &m.txns) {
+            return Output::none();
+        }
         let Some(session) = self.sessions.get_mut(&block_id) else {
             return Output::none();
         };
-        if !self.hedges.settle(session, from) {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        }
-        for tx in &m.txns {
-            session.add_body(&self.limits, tx);
-        }
-        let mut needs_escalate = false;
-        let out = match &mut session.phase {
+        match &mut session.phase {
             RxPhase::CompactWait { header, slots, missing } => {
                 let header = *header;
                 if m.txns.len() != missing.len() {
@@ -2164,41 +1889,9 @@ impl Peer {
                 let ids = ids.clone();
                 self.complete_block(block_id, header, ids.into(), neighbors)
             }
-            RxPhase::GrapheneFetch { resolved, header, order_bytes } => {
-                let header = *header;
-                let order_bytes = order_bytes.clone();
-                for tx in &m.txns {
-                    resolved.insert(short_id_8(tx.id()), *tx.id());
-                }
-                let RelayProtocol::Graphene(cfg) = self.protocol.clone() else {
-                    return Output::none();
-                };
-                let resolved = resolved.clone();
-                match protocol2::finalize_p2(&resolved, header.merkle_root, &order_bytes, &cfg) {
-                    Ok(ok) => match ok.checked {
-                        Some(checked) => {
-                            self.complete_block(block_id, header, checked.into(), neighbors)
-                        }
-                        None => {
-                            needs_escalate = true;
-                            Output::none()
-                        }
-                    },
-                    Err(_) => {
-                        // Repair failed (wrong/garbage bodies or unlucky
-                        // decode): climb the ladder, do not ban — the
-                        // failure is not attributable.
-                        needs_escalate = true;
-                        Output::none()
-                    }
-                }
-            }
-            _ => Output::none(),
-        };
-        if needs_escalate {
-            return self.escalate(block_id, RungFailure::Failed);
+            // Graphene's extra fetch, if one is out.
+            RxPhase::Requested => self.graphene_step(from, block_id, Input::Txns(&m), neighbors),
         }
-        out
     }
 
     // --- XThin --------------------------------------------------------------
@@ -2232,14 +1925,8 @@ impl Peer {
         block_id: Digest,
         neighbors: &[PeerId],
     ) -> Output {
-        let Some(session) = self.sessions.get_mut(&block_id) else {
+        if !self.accept_payload(from, &block_id, &m.missing) {
             return Output::none();
-        };
-        if !self.hedges.settle(session, from) {
-            return Output::none(); // unsolicited, or a hedge loser's late reply
-        }
-        for tx in &m.missing {
-            session.add_body(&self.limits, tx);
         }
         // Mempool-first resolution, as deployed clients do (see
         // `graphene-baselines::xthin` for the §6.1 implications).
@@ -2264,6 +1951,9 @@ impl Peer {
         if unresolved.is_empty() {
             return self.complete_block(block_id, m.header, ids.into(), neighbors);
         }
+        let Some(session) = self.sessions.get_mut(&block_id) else {
+            return Output::none();
+        };
         session.bump_epoch();
         let attempt = session.attempt;
         session.phase =
@@ -2447,6 +2137,7 @@ pub fn cmpct_key(header: &Header, nonce: u64) -> SipKey {
 mod tests {
     use super::*;
     use graphene_blockchain::OrderingScheme;
+    use graphene_wire::messages::{GetGrapheneRetryMsg, GetMoreCellsMsg, RatelessCellsMsg};
 
     fn block_of(n: usize, tag: u8) -> Block {
         let txns: Vec<Transaction> =
@@ -2752,6 +2443,30 @@ mod tests {
         (server, receiver, id, out)
     }
 
+    /// Deliver `out`'s requests to `server` and its answers back to
+    /// `receiver` over a lossless, instant link until `receiver` holds `id`:
+    /// the rungs its session sat on along the way.
+    fn exchange(server: &mut Peer, receiver: &mut Peer, id: Digest, out: Output) -> Vec<RungKind> {
+        let sends = |out: Output| out.send.into_iter().map(|(_, m)| m);
+        let mut requests: Vec<Message> = sends(out).collect();
+        let mut rungs: Vec<RungKind> = receiver.session_rung(&id).into_iter().collect();
+        while !receiver.has_block(&id) {
+            assert!(!requests.is_empty(), "the exchange stalled on {rungs:?}");
+            let replies: Vec<Message> = requests
+                .drain(..)
+                .flat_map(|m| sends(server.handle(receiver.id, m, &[])))
+                .collect();
+            for reply in replies {
+                requests.extend(sends(receiver.handle(server.id, reply, &[])));
+                match receiver.session_rung(&id) {
+                    Some(rung) if rungs.last() != Some(&rung) => rungs.push(rung),
+                    _ => {}
+                }
+            }
+        }
+        rungs
+    }
+
     #[test]
     fn rateless_rung_decodes_after_lost_p2_response() {
         let (mut server, mut receiver, id, out) = rateless_session();
@@ -2760,24 +2475,8 @@ mod tests {
         assert!(acct.rateless_state_bytes > 0, "decoder state not accounted");
         assert!(acct.hwm_bytes <= receiver.limits.accounted_ceiling());
 
-        let mut to_server: Vec<Message> = out.send.into_iter().map(|(_, m)| m).collect();
-        let mut completed = false;
-        for _ in 0..64 {
-            let mut to_receiver = Vec::new();
-            for m in to_server.drain(..) {
-                to_receiver.extend(server.handle(PeerId(1), m, &[]).send);
-            }
-            for (_, m) in to_receiver {
-                let out = receiver.handle(PeerId(0), m, &[]);
-                completed |= out.completed_block == Some(id);
-                to_server.extend(out.send.into_iter().map(|(_, m)| m));
-            }
-            if completed {
-                break;
-            }
-            assert!(!to_server.is_empty(), "exchange stalled before completion");
-        }
-        assert!(completed, "rateless rung never reconstructed the block");
+        let rungs = exchange(&mut server, &mut receiver, id, out);
+        assert_eq!(rungs, [RungKind::Rateless], "rateless rung never reconstructed the block");
         assert!(receiver.has_block(&id));
         assert_eq!(receiver.accounting().rateless_state_bytes, 0, "state freed on completion");
     }
@@ -2907,6 +2606,62 @@ mod tests {
         assert_eq!(cells.salt, rateless_salt(&id));
         assert_eq!(cells.start_index, 16);
         assert_eq!(cells.cells.len(), 8);
+    }
+
+    /// Core's receiver has two drivers, this peer and the in-process relay:
+    /// fed the same scenario, they deliver the same block through the same
+    /// rungs in every regime of the receive sequence — Protocol 1 alone,
+    /// Protocol 2, Protocol 2 with its extra fetch, and the rateless stream
+    /// after a failed Protocol 2.
+    #[test]
+    fn both_drivers_deliver_the_same_block_through_the_same_rungs() {
+        use graphene::recovery::{relay_with_recovery, LadderReport};
+        use graphene_blockchain::{Scenario, ScenarioParams};
+        use rand::{rngs::StdRng, SeedableRng};
+        type Regime<'a> = &'a dyn Fn(&LadderReport) -> bool;
+        let agree = |name: &str, n, held, cfg, policy: RecoveryPolicy, is: Regime| {
+            for seed in 0..400u64 {
+                let params = ScenarioParams {
+                    block_size: n,
+                    extra_mempool_multiple: 1.0,
+                    block_fraction_in_mempool: held,
+                    ..Default::default()
+                };
+                let s = Scenario::generate(&params, &mut StdRng::seed_from_u64(seed));
+                let local = relay_with_recovery(&s.block, None, &s.receiver_mempool, &cfg, &policy);
+                if !is(&local) {
+                    continue;
+                }
+                let id = s.block.id();
+                let mut server = Peer::new(PeerId(0), RelayProtocol::Graphene(cfg), Mempool::new());
+                server.originate(s.block.clone(), &[]);
+                // The netsim sender sizes Protocol 2 by its own mempool
+                // (`max(m, n)`), the in-process one by the receiver's `m`:
+                // give the server the receiver's (`m ≥ n` here).
+                server.mempool = s.receiver_mempool.clone();
+                let (graphene, pool) = (RelayProtocol::Graphene(cfg), s.receiver_mempool.clone());
+                let mut receiver = Peer::new(PeerId(1), graphene, pool);
+                receiver.recovery = policy;
+                let out = receiver.handle(PeerId(0), Message::Inv(InvMsg { block_id: id }), &[]);
+                let rungs = exchange(&mut server, &mut receiver, id, out);
+                let local_rungs: Vec<RungKind> = local.rungs.iter().map(|r| r.kind).collect();
+                assert_eq!(rungs, local_rungs, "{name}, seed {seed}");
+                assert_eq!(receiver.block(&id).map(Block::ids), Some(local.ordered_ids));
+                return;
+            }
+            panic!("no seed reached the {name} regime");
+        };
+        let (cfg, retry) = (GrapheneConfig::default(), RecoveryPolicy::default());
+        agree("Protocol 1", 200, 1.0, cfg, retry, &|r| r.clean() && r.bytes.bloom_r == 0);
+        agree("Protocol 2", 200, 0.7, cfg, retry, &|r| {
+            r.clean() && r.bytes.bloom_r > 0 && r.bytes.extra_fetch == 0
+        });
+        agree("extra fetch", 300, 0.7, cfg, retry, &|r| r.clean() && r.bytes.extra_fetch > 0);
+        // The under-assured configuration the core ladder tests use, so that
+        // Protocol 2 fails and the stream takes over.
+        let flaky = GrapheneConfig { beta: 0.51, iblt_rate_denom: 3, pingpong: false, ..cfg };
+        let rateless = RecoveryPolicy::rateless_first();
+        agree("rateless", 100, 0.5, flaky, rateless, &|r| r.delivered == RungKind::Rateless);
     }
 
     // --- Adaptive failure detection ----------------------------------------
