@@ -152,7 +152,11 @@ impl Receiver {
     pub fn step(&mut self, input: Input<'_>, env: &RxEnv<'_>) -> Step {
         let cfg = env.cfg;
         match (input, &mut self.state, self.p1.as_deref()) {
-            (Input::Block(msg, id), ..) if id == self.block_id => self.on_block(msg, env),
+            // A Protocol 1 frame only while one is awaited: a late or
+            // duplicated copy must not reset a session past Protocol 1.
+            (Input::Block(msg, id), State::AwaitP1, _) if id == self.block_id => {
+                self.on_block(msg, env)
+            }
             (Input::Recovery(msg), State::P2Requested, Some(p1))
                 if msg.block_id == self.block_id =>
             {

@@ -2481,6 +2481,22 @@ mod tests {
         assert_eq!(receiver.accounting().rateless_state_bytes, 0, "state freed on completion");
     }
 
+    /// A late or duplicated Protocol 1 frame must not reset a session that
+    /// is past Protocol 1: on the rateless rung it is ignored (no second
+    /// Protocol 2 request), and the stream still delivers the block.
+    #[test]
+    fn late_p1_frame_does_not_reset_a_session_past_p1() {
+        let (mut server, mut receiver, id, out) = rateless_session();
+        let getdata = GetDataMsg { block_id: id, mempool_count: receiver.mempool.len() as u64 };
+        let Some((_, p1)) = server.handle(PeerId(1), Message::GetData(getdata), &[]).send.pop()
+        else {
+            panic!("the server answers a getdata");
+        };
+        let late = receiver.handle(PeerId(0), p1, &[]);
+        assert!(late.send.is_empty(), "a late P1 frame restarted the session: {:?}", late.send);
+        assert_eq!(exchange(&mut server, &mut receiver, id, out), [RungKind::Rateless]);
+    }
+
     #[test]
     fn wrong_salt_cell_stream_is_banned() {
         let mut p = graphene_peer(1);
