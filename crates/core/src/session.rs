@@ -75,8 +75,7 @@ pub enum RelayOutcome {
     Failed {
         /// The failure that ended the attempt.
         p2: P2Failure,
-        /// Bytes the fallback actually cost (full block + framing). Zero
-        /// only from a single ladder attempt, whose caller owns the ladder.
+        /// Bytes the fallback actually cost (full block + framing).
         fallback_bytes: usize,
     },
 }
